@@ -1,5 +1,7 @@
 #include "engine/machine.h"
 
+#include <algorithm>
+
 #include "engine/builtins.h"
 
 namespace xsb {
@@ -35,8 +37,9 @@ void Machine::CutTo(size_t depth) {
   if (cps_.size() > depth) cps_.resize(depth);
 }
 
-void Machine::PushAnswerChoices(Word goal, const AnswerSource* answers,
-                                const GoalNode* cont) {
+void Machine::PushAnswerRange(Word goal, const AnswerSource* answers,
+                              size_t begin, size_t end, const GoalNode* cont,
+                              uint64_t* returned) {
   ChoicePoint cp;
   cp.kind = ChoiceKind::kAnswers;
   cp.cont = cont;
@@ -44,6 +47,9 @@ void Machine::PushAnswerChoices(Word goal, const AnswerSource* answers,
   cp.heap_mark = store_->HeapMark();
   cp.goal = goal;
   cp.answers = answers;
+  cp.next_answer = begin;
+  cp.end_answer = end;
+  cp.returns = returned;
   const FlatTerm* tmpl = answers->answer_template();
   if (tmpl != nullptr) {
     // Substitution-factored source: unify the call template against the
@@ -68,6 +74,34 @@ void Machine::PushAnswerChoices(Word goal, const AnswerSource* answers,
   }
   cps_.push_back(std::move(cp));
   ++stats_.choice_points;
+}
+
+Status Machine::RunAnswers(Word goal, const AnswerSource* answers,
+                           size_t begin, size_t end, const GoalNode* cont,
+                           uint64_t* returned) {
+  size_t base_cp = cps_.size();
+  PushAnswerRange(goal, answers, begin, end, cont, returned);
+  return RunFrom(base_cp, nullptr, /*backtrack_first=*/true,
+                 []() { return SolveAction::kContinue; });
+}
+
+bool Machine::ReturnAnswer(const ChoicePoint& cp, size_t i) {
+  if (!cp.factored) {
+    cp.answers->ReadAnswer(i, &answer_scratch_);
+    return store_->Unify(cp.goal, Unflatten(store_, answer_scratch_));
+  }
+  // Factored return: rebuild only the binding segments and unify each
+  // against its (goal-aliased) template variable.
+  cp.answers->ReadBindings(i, &answer_scratch_);
+  answer_vars_scratch_.assign(answer_scratch_.num_vars, 0);
+  size_t pos = 0;
+  for (Word tv : cp.template_vars) {
+    Word b =
+        UnflattenNext(store_, answer_scratch_, &pos, &answer_vars_scratch_);
+    if (!store_->Unify(tv, b)) return false;
+  }
+  ++stats_.factored_answer_returns;
+  return true;
 }
 
 void Machine::PushBetweenChoices(Word var, int64_t low, int64_t high,
@@ -144,47 +178,15 @@ bool Machine::Backtrack(size_t base_cp, const GoalNode** goals) {
         return true;
       }
       case ChoiceKind::kAnswers: {
-        if (cp.factored) {
-          // Factored return: per answer, rebuild only the binding segments
-          // and unify each against its (goal-aliased) template variable.
-          while (cp.next_answer < cp.answers->size()) {
-            // Answer subsumption: an answer retired by a better one is
-            // skipped, not returned. The cursor itself stays valid.
-            if (!cp.answers->live(cp.next_answer)) {
-              ++cp.next_answer;
-              continue;
-            }
-            cp.answers->ReadBindings(cp.next_answer++, &answer_scratch_);
-            answer_vars_scratch_.assign(answer_scratch_.num_vars, 0);
-            size_t pos = 0;
-            bool ok = true;
-            for (Word tv : cp.template_vars) {
-              Word b = UnflattenNext(store_, answer_scratch_, &pos,
-                                     &answer_vars_scratch_);
-              if (!store_->Unify(tv, b)) {
-                ok = false;
-                break;
-              }
-            }
-            if (ok) {
-              ++stats_.factored_answer_returns;
-              *goals = cp.cont;
-              return true;
-            }
-            store_->UndoTrail(cp.trail_mark);
-            store_->TruncateHeap(cp.heap_mark);
-          }
-          cps_.pop_back();
-          continue;
-        }
-        while (cp.next_answer < cp.answers->size()) {
-          if (!cp.answers->live(cp.next_answer)) {
-            ++cp.next_answer;
-            continue;
-          }
-          cp.answers->ReadAnswer(cp.next_answer++, &answer_scratch_);
-          Word t = Unflatten(store_, answer_scratch_);
-          if (store_->Unify(cp.goal, t)) {
+        // The source may grow while the choice point is live; a range never
+        // reads past its end.
+        while (cp.next_answer < std::min(cp.end_answer, cp.answers->size())) {
+          size_t i = cp.next_answer++;
+          // Answer subsumption: an answer retired by a better one is
+          // skipped, not returned. The cursor itself stays valid.
+          if (!cp.answers->live(i)) continue;
+          if (ReturnAnswer(cp, i)) {
+            if (cp.returns != nullptr) ++*cp.returns;
             *goals = cp.cont;
             return true;
           }
@@ -521,10 +523,18 @@ Machine::StepResult Machine::DispatchGoal(const GoalNode** goals) {
 }
 
 Status Machine::Run(const GoalNode* goals, const SolutionFn& on_solution) {
-  size_t base_cp = cps_.size();
+  return RunFrom(cps_.size(), goals, /*backtrack_first=*/false, on_solution);
+}
+
+Status Machine::RunFrom(size_t base_cp, const GoalNode* goals,
+                        bool backtrack_first, const SolutionFn& on_solution) {
   const GoalNode* g = goals;
   bool saved_stop = stop_requested_;
   stop_requested_ = false;
+  if (backtrack_first && !Backtrack(base_cp, &g)) {
+    stop_requested_ = saved_stop;
+    return Status::Ok();
+  }
 
   while (true) {
     if (stop_requested_) {

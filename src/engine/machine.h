@@ -186,8 +186,25 @@ class Machine {
   // Used by the tabling evaluator for completed tables (the source is the
   // answer table, read straight from its trie) and by clause/2. The machine
   // enters the choice point when the caller returns a fail-like outcome.
+  // This is the answer range [0, end of source): a source that grows while
+  // the choice point is live has its new answers returned too.
   void PushAnswerChoices(Word goal, const AnswerSource* answers,
-                         const GoalNode* cont);
+                         const GoalNode* cont) {
+    PushAnswerRange(goal, answers, 0, kEndOfAnswers, cont, nullptr);
+  }
+
+  // Runs `cont` for its effects once for every answer of `answers` in
+  // [begin, end) that unifies with `goal`: one answer choice point over the
+  // range, backtracked into under a single Run, so per answer only the
+  // answer's bindings are rebuilt. Answers the source gains at or past `end`
+  // are not returned. A RequestStop from inside `cont` ends the range. When
+  // `returned` is non-null the choice point bumps it once per answer it
+  // hands to `cont`. Nodes of `cont` should carry cut_depth
+  // choice_point_count() + 1, so a cut in the continuation prunes its own
+  // choice points but keeps the range. The bindings made by the run are
+  // left for the caller to undo.
+  Status RunAnswers(Word goal, const AnswerSource* answers, size_t begin,
+                    size_t end, const GoalNode* cont, uint64_t* returned);
 
   // Pushes a choice point enumerating integers low..high into `var`
   // (between/3). Enter by returning a fail-like outcome.
@@ -206,8 +223,14 @@ class Machine {
   // Discards choice points above `depth` (the cut operation).
   void CutTo(size_t depth);
 
-  // Resets the goal arena; only call between top-level queries.
-  void ResetArena() { arena_.clear(); }
+  // Frees the goal arena and the answer sources adopted for clause/2.
+  // Only call between top-level queries: no resolvent or choice point may
+  // still reference them.
+  void ResetArena() {
+    arena_.clear();
+    adopted_sources_.clear();
+  }
+  size_t arena_size() const { return arena_.size(); }
 
   // Takes ownership of a materialized answer source referenced by an
   // answer choice point (clause/2); freed with the machine. Returns the
@@ -244,9 +267,12 @@ class Machine {
     size_t next_candidate = 0;
     // kDisjunction
     Word alternative = 0;
-    // kAnswers
+    // kAnswers: answers [next_answer, end_answer) of `answers` remain;
+    // `returns`, when set, counts the answers handed to `cont`.
     const AnswerSource* answers = nullptr;
     size_t next_answer = 0;
+    size_t end_answer = 0;
+    uint64_t* returns = nullptr;
     // kAnswers, factored mode: heap cells aliased to the source's answer
     // template variables (template unified with `goal` once, at push time,
     // before this choice point's marks — so per-answer backtracking keeps
@@ -259,6 +285,18 @@ class Machine {
   };
 
   enum class StepResult { kAdvance, kBacktrack, kSolution, kError, kStopped };
+
+  static constexpr size_t kEndOfAnswers = SIZE_MAX;
+
+  void PushAnswerRange(Word goal, const AnswerSource* answers, size_t begin,
+                       size_t end, const GoalNode* cont, uint64_t* returned);
+  // Unifies answer `i` of the top answer choice point `cp` into its goal.
+  bool ReturnAnswer(const ChoicePoint& cp, size_t i);
+  // The Run loop over choice points above `base_cp`; with `backtrack_first`
+  // it starts by backtracking into the top choice point instead of
+  // dispatching `goals`.
+  Status RunFrom(size_t base_cp, const GoalNode* goals, bool backtrack_first,
+                 const SolutionFn& on_solution);
 
   // Resolves the goal at the head of *goals (dispatch). On success updates
   // *goals to the new resolvent.

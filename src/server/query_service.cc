@@ -141,6 +141,8 @@ Result<std::vector<Answer>> QueryService::RunGoal(Session& session,
   });
   session.store->UndoTrail(trail);
   session.store->TruncateHeap(heap);
+  // The query has unwound: nothing references its goal nodes any more.
+  session.machine->ResetArena();
   if (!status.ok()) return status;
   return answers;
 }

@@ -52,6 +52,7 @@ Evaluator::Evaluator(Machine* machine, Options options,
   f_tabled_answer_ =
       symbols->InternFunctor(symbols->InternAtom("$tabled_answer"), 2);
   f_consumer_ = symbols->InternFunctor(symbols->InternAtom("$consumer"), 2);
+  f_dot_ = symbols->InternFunctor(symbols->dot(), 2);
   machine->set_tabled_handler(this);
   if (listener_registered_) {
     machine->program()->set_update_listener(this);
@@ -497,43 +498,49 @@ Status Evaluator::RunGeneratorEpisode(SubgoalId id) {
   return status;
 }
 
-Status Evaluator::ResumeConsumer(SubgoalId owner, FlatTerm saved,
-                                 const FlatTerm& answer) {
-  ++stats_.resumptions;
-  ++tables_->stats().consumer_resumptions;
+Status Evaluator::DeliverRange(const Consumer& consumer, size_t end) {
   TermStore* store = machine_->store();
-  SymbolTable* symbols = store->symbols();
   size_t trail = store->TrailMark();
   size_t heap = store->HeapMark();
 
-  Word pair = Unflatten(store, saved);
-  Word d = store->Deref(pair);
-  Word call = store->Arg(d, 0);
-  Word list = store->Deref(store->Arg(d, 1));
-  Word answer_term = Unflatten(store, answer);
-  if (!store->Unify(call, answer_term)) {
-    store->UndoTrail(trail);
-    store->TruncateHeap(heap);
-    return Status::Ok();  // cannot happen for variant calls; be safe
-  }
-  // Rebuild the continuation chain.
+  // The saved continuation is rebuilt once for the whole range.
+  Word pair = store->Deref(Unflatten(store, consumer.saved));
+  Word call = store->Arg(pair, 0);
+  Word list = store->Deref(store->Arg(pair, 1));
+  const AnswerTable* producer = tables_->subgoal(consumer.producer).table();
+  size_t begin = consumer.next_answer;
+  SubgoalId owner = consumer.owner;
+  // `consumer` lives in the batch's consumer vector, which the run below
+  // may grow: it is not touched past this point.
+
+  // Continuation nodes cut back to just above the range's choice point: a
+  // cut in the continuation prunes only its own choice points, as when
+  // each answer had a run of its own.
+  uint32_t cut_depth =
+      static_cast<uint32_t>(machine_->choice_point_count() + 1);
   std::vector<Word> goals;
-  FunctorId cons = symbols->InternFunctor(symbols->dot(), 2);
-  while (IsStruct(list) && store->StructFunctor(list) == cons) {
+  while (IsStruct(list) && store->StructFunctor(list) == f_dot_) {
     goals.push_back(store->Arg(list, 0));
     list = store->Deref(store->Arg(list, 1));
   }
-  uint32_t cut_depth = static_cast<uint32_t>(machine_->choice_point_count());
   const GoalNode* chain = nullptr;
   for (auto it = goals.rbegin(); it != goals.rend(); ++it) {
     chain = machine_->Cons(*it, chain, cut_depth);
   }
+
+  // consumer_resumptions counts one per live answer actually returned to
+  // the continuation: the range's choice point bumps `returned` as it hands
+  // each one over, so a range cut short by a stop or an error counts only
+  // what it delivered.
+  uint64_t returned = 0;
   // The continuation is part of `owner`'s clause bodies: run it in the
   // owner's dependency-capture context.
   eval_stack_.push_back(owner);
   Status status =
-      machine_->Run(chain, []() { return SolveAction::kContinue; });
+      machine_->RunAnswers(call, producer, begin, end, chain, &returned);
   eval_stack_.pop_back();
+  stats_.resumptions += returned;
+  tables_->stats().consumer_resumptions += returned;
   store->UndoTrail(trail);
   store->TruncateHeap(heap);
   return status;
@@ -551,34 +558,28 @@ Status Evaluator::RunBatchLoop(size_t batch_index) {
       continue;
     }
 
-    // Deliver pending answers to consumers. The consumer vector and the
-    // answer vectors can both grow during a resumption, so everything is
-    // re-fetched through indices.
+    // One delivery round: each consumer is resumed once, over the answers
+    // its producer holds at the start of its turn that it has not seen yet
+    // ([next_answer, size)). Answers that arrive during the round —
+    // including those the consumer's own continuation derives — are
+    // delivered in the next round. The consumer and batch vectors can both
+    // grow during a run, so everything is re-fetched through indices.
     bool progressed = false;
-    FlatTerm answer;  // scratch reused across deliveries in this pass
     for (size_t ci = 0; ci < batches_[batch_index].consumers.size(); ++ci) {
-      while (true) {
-        if (batches_[batch_index].aborted) return Status::Ok();
-        if (!batches_[batch_index].generator_queue.empty()) break;
-        Consumer& c = batches_[batch_index].consumers[ci];
-        const AnswerTable* producer = tables_->subgoal(c.producer).table();
-        if (c.next_answer >= producer->size()) break;
-        if (!producer->live(c.next_answer)) {
-          // Answer subsumption: retired (beaten) answers are not delivered —
-          // the replacement that retired them sits later in the same table
-          // and re-fires this consumer instead.
-          ++batches_[batch_index].consumers[ci].next_answer;
-          continue;
-        }
-        producer->ReadAnswer(c.next_answer, &answer);
-        ++batches_[batch_index].consumers[ci].next_answer;
-        SubgoalId owner = batches_[batch_index].consumers[ci].owner;
-        FlatTerm saved = batches_[batch_index].consumers[ci].saved;
-        Status status = ResumeConsumer(owner, std::move(saved), answer);
-        if (!status.ok()) return status;
-        progressed = true;
-      }
+      if (batches_[batch_index].aborted) return Status::Ok();
       if (!batches_[batch_index].generator_queue.empty()) break;
+      Consumer& c = batches_[batch_index].consumers[ci];
+      size_t end = tables_->subgoal(c.producer).table()->size();
+      if (c.next_answer >= end) continue;
+      Status status = DeliverRange(c, end);
+      // A RequestStop mid-range ends the range: either the owner completed
+      // early (a ground call has its one answer) or an e_tnot found its
+      // answer and this batch is aborted. Skipping the rest of the range is
+      // sound only because of that — the owner is complete, or its batch's
+      // tables are about to be disposed.
+      batches_[batch_index].consumers[ci].next_answer = end;
+      if (!status.ok()) return status;
+      progressed = true;
     }
     if (!batches_[batch_index].generator_queue.empty()) continue;
     if (!progressed) return Status::Ok();  // fixpoint

@@ -19,7 +19,13 @@ namespace xsb {
 // to the caller through an answer choice point. Inside a batch, repeated
 // calls become suspended consumers captured by copying the (call,
 // continuation) pair into table space — the copying realization of the
-// SLG-WAM's frozen stacks.
+// SLG-WAM's frozen stacks. The batch loop works in delivery rounds: each
+// round resumes every consumer once, over the range of its producer's
+// answers it has not yet seen. The continuation is copied back once per
+// range, and one answer choice point (Machine::RunAnswers) backtracks
+// through the range, as the SLG-WAM backtracks through a frozen consumer's
+// answers. Answers arriving during a round wait for the next one; rounds
+// repeat until one delivers nothing.
 //
 // Negation:
 //   * tnot/1  — SLG negation: completes the subgoal in a nested batch, then
@@ -152,8 +158,10 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
 
   Status RunBatchLoop(size_t batch_index);
   Status RunGeneratorEpisode(SubgoalId id);
-  Status ResumeConsumer(SubgoalId owner, FlatTerm saved,
-                        const FlatTerm& answer);
+  // Resumes `consumer` once over its producer's answers
+  // [consumer.next_answer, end): the saved continuation is rebuilt once and
+  // run under one answer-range choice point (Machine::RunAnswers).
+  Status DeliverRange(const Consumer& consumer, size_t end);
 
   // Lock-free warm-path attempt for a top-level tabled call: serve `goal`
   // from a published complete+valid table. Returns true and pushes the
@@ -233,7 +241,7 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
   bool pending_full_abolish_ = false;
   EvalStats stats_;
 
-  FunctorId f_resolve_clauses_, f_tabled_answer_, f_consumer_;
+  FunctorId f_resolve_clauses_, f_tabled_answer_, f_consumer_, f_dot_;
 };
 
 }  // namespace xsb

@@ -101,9 +101,13 @@ Status Engine::ForEach(std::string_view goal,
   store_->UndoTrail(trail);
   store_->TruncateHeap(heap);
   // Frozen answer snapshots (tables retired by updates or abolishes while a
-  // cursor was open) can only be referenced by choice points of some live
-  // query; once the outermost query unwinds they are garbage.
-  if (query_depth_ == 0) evaluator_->tables().ReleaseRetiredAnswers();
+  // cursor was open), the goal arena and clause/2's answer sources can only
+  // be referenced by resolvents and choice points of some live query; once
+  // the outermost query unwinds they are garbage.
+  if (query_depth_ == 0) {
+    evaluator_->tables().ReleaseRetiredAnswers();
+    machine_->ResetArena();
+  }
   return status;
 }
 
