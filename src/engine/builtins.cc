@@ -565,6 +565,23 @@ void SplitClausePattern(Machine& m, Word pattern, Word* head, Word* body,
   }
 }
 
+// Matches stored clause `clause` against `head` and, when `body` is
+// nonzero, its body against `body` (a fact's body is `true`), in place with
+// MatchNext: only what the match binds into a pattern variable is built.
+// The bindings stay trailed either way; the caller undoes them.
+bool MatchClause(TermStore* store, const Clause& clause, Word head,
+                 Word body) {
+  std::vector<Word> vars(clause.term.num_vars, 0);
+  std::vector<Word> work;
+  size_t pos = clause.head_pos;
+  if (!MatchNext(store, clause.term, &pos, head, &vars, &work)) return false;
+  if (body == 0) return true;
+  if (!clause.is_rule) {
+    return store->Unify(body, AtomCell(store->symbols()->truth()));
+  }
+  return MatchNext(store, clause.term, &pos, body, &vars, &work);
+}
+
 // A successful erasure shrinks the program: shard reach masks and
 // incremental dependency seeds published for the old clause set are now
 // stale (still sound — a shrunken program only satisfies the published
@@ -585,7 +602,6 @@ void RepublishAfterErasure(Machine& m) {
 
 BuiltinResult BuiltinRetract(Machine& m, Word goal, const GoalNode*) {
   TermStore* store = m.store();
-  SymbolTable* symbols = store->symbols();
   Word head, body;
   bool body_given;
   SplitClausePattern(m, Arg(m, goal, 0), &head, &body, &body_given);
@@ -601,17 +617,9 @@ BuiltinResult BuiltinRetract(Machine& m, Word goal, const GoalNode*) {
     if (clause.erased) continue;
     size_t trail = store->TrailMark();
     size_t heap = store->HeapMark();
-    Word inst = Unflatten(store, clause.term);
-    Word chead = inst;
-    Word cbody = AtomCell(symbols->truth());
-    if (clause.is_rule) {
-      Word d = store->Deref(inst);
-      chead = store->Arg(d, 0);
-      cbody = store->Arg(d, 1);
-    }
     // A bare pattern retracts clauses whose body is `true` (facts); a
     // (H :- B) pattern matches against the stored body.
-    if (store->Unify(head, chead) && store->Unify(body, cbody)) {
+    if (MatchClause(store, clause, head, body)) {
       pred->EraseClause(id);
       if (pred->incremental()) m.program()->NotifyIncrementalUpdate(*functor);
       RepublishAfterErasure(m);
@@ -639,10 +647,7 @@ BuiltinResult BuiltinRetractAll(Machine& m, Word goal, const GoalNode*) {
     if (clause.erased) continue;
     size_t trail = store->TrailMark();
     size_t heap = store->HeapMark();
-    Word inst = Unflatten(store, clause.term);
-    Word chead = inst;
-    if (clause.is_rule) chead = store->Arg(store->Deref(inst), 0);
-    if (store->Unify(head, chead)) {
+    if (MatchClause(store, clause, head, /*body=*/0)) {
       pred->EraseClause(id);
       erased_any = true;
     }
@@ -818,16 +823,7 @@ BuiltinResult BuiltinClause(Machine& m, Word goal, const GoalNode* node) {
     if (clause.erased) continue;
     size_t trail = store->TrailMark();
     size_t heap = store->HeapMark();
-    Word inst = Unflatten(store, clause.term);
-    Word chead = inst;
-    Word cbody = AtomCell(symbols->truth());
-    if (clause.is_rule) {
-      Word d = store->Deref(inst);
-      chead = store->Arg(d, 0);
-      cbody = store->Arg(d, 1);
-    }
-    Word cpair = store->MakeStruct(neck, {chead, cbody});
-    if (store->Unify(pair_pattern, cpair)) {
+    if (MatchClause(store, clause, head, body)) {
       // Flatten into the reused scratch, then store an exact-size copy: no
       // growth reallocations once the scratch is warm.
       if (FlattenInto(*store, pair_pattern, &instance_scratch)) {

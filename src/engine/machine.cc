@@ -132,18 +132,16 @@ bool Machine::TryClause(Predicate* pred, ClauseId id, Word goal,
   const Clause& clause = pred->clause(id);
   ++stats_.head_unifications;
   clause_vars_.assign(clause.term.num_vars, 0);
-  Word inst = Unflatten(store_, clause.term, &clause_vars_);
-  Word head = inst;
-  Word body = 0;
-  if (clause.is_rule) {
-    Word d = store_->Deref(inst);
-    head = store_->Arg(d, 0);
-    body = store_->Arg(d, 1);
+  size_t pos = clause.head_pos;
+  if (!MatchNext(store_, clause.term, &pos, goal, &clause_vars_,
+                 &match_work_)) {
+    return false;
   }
-  if (!store_->Unify(goal, head)) return false;
   if (!clause.is_rule) {
     *new_goals = cont;
   } else {
+    // The body follows the head in the stream and shares its variables.
+    Word body = UnflattenNext(store_, clause.term, &pos, &clause_vars_);
     *new_goals = Cons(body, cont, entry_depth);
   }
   return true;

@@ -308,8 +308,10 @@ class Machine {
   StepResult CallUserPredicate(Word goal, FunctorId functor,
                                const GoalNode* cont, uint32_t cut_depth,
                                bool force_clause_resolution);
-  // Instantiates clause `id` of `pred` and unifies its head with `goal`.
-  // On success sets *body_goals to the clause body resolvent.
+  // Matches the head of clause `id` of `pred` against `goal` in place
+  // (MatchNext: read mode against bound goal arguments, write mode only
+  // where the goal has an unbound variable). Only on success does it build
+  // the clause body and set *new_goals to the resolvent.
   bool TryClause(Predicate* pred, ClauseId id, Word goal,
                  const GoalNode* cont, uint32_t entry_depth,
                  const GoalNode** new_goals);
@@ -331,6 +333,7 @@ class Machine {
 
   std::vector<std::pair<Word, bool>> pending_goals_;  // goal, opaque_cut
   std::vector<Word> clause_vars_;  // scratch for clause instantiation
+  std::vector<Word> match_work_;   // MatchNext's stack
 
   MachineStats stats_;
   FunctorId counted_functor_ = 0;

@@ -135,6 +135,11 @@ class Writer {
       case Tag::kLocal:
         out_ += "_" + std::to_string(PayloadOf(t));
         return;
+      case Tag::kInterned:
+        // A table-space token, never a heap term; shown by its intern id
+        // rather than misread as a struct's heap index.
+        out_ += "'$interned'(" + std::to_string(PayloadOf(t)) + ")";
+        return;
       case Tag::kInt:
         out_ += std::to_string(IntValue(t));
         return;

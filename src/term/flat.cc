@@ -113,6 +113,55 @@ Word UnflattenNext(TermStore* store, const FlatTerm& flat, size_t* pos,
   return UnflattenAt(store, flat, pos, vars);
 }
 
+bool MatchNext(TermStore* store, const FlatTerm& flat, size_t* pos, Word goal,
+               std::vector<Word>* vars, std::vector<Word>* work) {
+  // Goal subterms still to match. The stream is preorder and a struct's
+  // arguments are pushed in reverse, so the top is always the goal subterm
+  // of the next stream cell; a right-nested term (a list) keeps the stack
+  // at two entries.
+  work->clear();
+  work->push_back(goal);
+  while (!work->empty()) {
+    Word g = store->Deref(work->back());
+    work->pop_back();
+    Word w = flat.cells[*pos];
+    switch (TagOf(w)) {
+      case Tag::kLocal: {
+        ++*pos;
+        Word& slot = (*vars)[PayloadOf(w)];
+        if (slot == 0) {
+          slot = g;
+        } else if (!store->Unify(slot, g)) {
+          return false;
+        }
+        break;
+      }
+      case Tag::kFunctor: {
+        if (IsRef(g)) {
+          store->Bind(g, UnflattenAt(store, flat, pos, vars));
+          break;
+        }
+        FunctorId f = FunctorOf(w);
+        if (!IsStruct(g) || store->StructFunctor(g) != f) return false;
+        ++*pos;
+        for (int i = store->symbols()->FunctorArity(f) - 1; i >= 0; --i) {
+          work->push_back(store->Arg(g, i));
+        }
+        break;
+      }
+      default:  // atom or int
+        ++*pos;
+        if (IsRef(g)) {
+          store->Bind(g, w);
+        } else if (g != w) {
+          return false;
+        }
+        break;
+    }
+  }
+  return true;
+}
+
 bool FlatTopFunctor(const FlatTerm& flat, FunctorId* functor) {
   if (flat.cells.empty() || !IsFunctor(flat.cells[0])) return false;
   *functor = FunctorOf(flat.cells[0]);

@@ -74,6 +74,25 @@ Word Unflatten(TermStore* store, const FlatTerm& flat,
 Word UnflattenNext(TermStore* store, const FlatTerm& flat, size_t* pos,
                    std::vector<Word>* vars);
 
+// Unifies the single subterm starting at stream position *pos of `flat`
+// with the heap term `goal` in place, advancing *pos past it: clause
+// resolution matches a stored clause head this way instead of building the
+// clause first. `vars` holds one slot per kLocal ordinal (0 = not seen yet)
+// and may be shared with UnflattenNext calls that build the rest of the
+// stream afterwards, such as the clause body. Per stream cell:
+//   * a variable's first occurrence takes the goal subterm into its slot,
+//     making no heap cell; a later occurrence unifies its slot with it;
+//   * an atom or int is compared, or bound to an unbound goal variable;
+//   * a functor descends into a goal struct of the same functor (read
+//     mode), or is built with UnflattenNext and bound to an unbound goal
+//     variable (write mode).
+// `work` is scratch for the explicit stack. Returns false on mismatch; the
+// bindings made so far stay trailed and *pos is unspecified, so the caller
+// undoes to its own marks. Slot value 0 is RefCell(0), which TermStore
+// never hands out, so every goal variable is a nonzero slot value.
+bool MatchNext(TermStore* store, const FlatTerm& flat, size_t* pos, Word goal,
+               std::vector<Word>* vars, std::vector<Word>* work);
+
 // Reads the top functor of a flattened term without rebuilding it.
 // Returns true and sets *functor if the term is a struct.
 bool FlatTopFunctor(const FlatTerm& flat, FunctorId* functor);

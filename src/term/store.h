@@ -17,7 +17,12 @@ namespace xsb {
 // back to the marks.
 class TermStore {
  public:
-  explicit TermStore(SymbolTable* symbols) : symbols_(symbols) {}
+  // Heap cell 0 is reserved and never handed out: RefCell(0) == 0 is the
+  // "unset" value of variable slots (Unflatten's `vars`, MatchNext), which
+  // may hold any goal variable.
+  explicit TermStore(SymbolTable* symbols) : symbols_(symbols) {
+    heap_.push_back(RefCell(0));
+  }
   TermStore(const TermStore&) = delete;
   TermStore& operator=(const TermStore&) = delete;
 

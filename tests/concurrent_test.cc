@@ -363,5 +363,16 @@ TEST_P(ConcurrentDifferential, AgreesWithSingleThread) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ConcurrentDifferential,
                          ::testing::Range(0, 20));
 
+// A fresh worker's store hands its first query variable the lowest free
+// heap cell; cell 0 is reserved, because RefCell(0) == 0 would read as an
+// unset clause-variable slot and p(X, Y) would not alias X and Y.
+TEST(HeapCellZero, FreshWorkerQueryAliasesRepeatedHeadVariable) {
+  QueryService service({.num_workers = 1});
+  ASSERT_TRUE(service.Consult("p(A, A).\n").ok());
+  Result<std::vector<Answer>> answers = service.Query("p(X, Y), X == Y");
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(answers.value().size(), 1u);
+}
+
 }  // namespace
 }  // namespace xsb

@@ -9,6 +9,82 @@
 namespace xsb {
 namespace {
 
+// Heap cell 0 is never handed out: RefCell(0) == 0 is also the "unset"
+// value of clause-variable slots, so a query variable there would read as a
+// clause variable not yet seen and lose its aliasing.
+TEST(HeapCellZero, EngineQueryAliasesRepeatedHeadVariable) {
+  // Nothing consulted: X is the first cell the fresh store allocates.
+  Engine engine;
+  EXPECT_EQ(engine.Count("X = _, assertz(p(A, A)), p(X, Y), X == Y").value(),
+            1u);
+  EXPECT_EQ(engine.Count("p(X, Y), X \\== Y").value(), 0u);
+}
+
+// retract/1, retractall/1 and clause/2 match stored clauses in place, over
+// facts and rules alike.
+TEST(ClauseMatching, RetractRuleByBodyPattern) {
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .ConsultString(":- dynamic r/1.\n"
+                                 "r(1).\n"
+                                 "r(X) :- X = 2.\n"
+                                 "r(f(X)) :- s(X, X).\n")
+                  .ok());
+  // A bare pattern retracts facts only.
+  EXPECT_FALSE(engine.Holds("retract(r(2))").value());
+  // The body pattern is matched against the stored body.
+  EXPECT_FALSE(engine.Holds("retract((r(X) :- X = 3))").value());
+  Result<std::vector<Answer>> taken =
+      engine.FindAll("retract((r(f(A)) :- s(B, C))), B == C");
+  ASSERT_TRUE(taken.ok());
+  ASSERT_EQ(taken.value().size(), 1u);
+  EXPECT_TRUE(engine.Holds("retract((r(Y) :- Y = 2))").value());
+  EXPECT_TRUE(engine.Holds("retract(r(1))").value());
+  EXPECT_EQ(engine.Count("clause(r(_), _)").value(), 0u);
+}
+
+TEST(ClauseMatching, RetractallFactsAndRules) {
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .ConsultString(":- dynamic q/2.\n"
+                                 "q(1, a). q(2, b). q(1, c).\n"
+                                 "q(X, X) :- true.\n"
+                                 "q(3, Y) :- Y = d.\n")
+                  .ok());
+  EXPECT_TRUE(engine.Holds("retractall(q(1, _))").value());
+  // q(X, X) unified with q(1, _) and went too.
+  EXPECT_EQ(engine.Count("clause(q(_, _), _)").value(), 2u);
+  EXPECT_TRUE(engine.Holds("retractall(q(Z, Z))").value());
+  // q(3, Y) unifies with q(Z, Z); q(2, b) does not.
+  EXPECT_EQ(engine.Count("clause(q(_, _), _)").value(), 1u);
+  EXPECT_TRUE(engine.Holds("q(2, b)").value());
+  EXPECT_TRUE(engine.Holds("retractall(q(_, _))").value());
+  EXPECT_EQ(engine.Count("q(_, _)").value(), 0u);
+}
+
+TEST(ClauseMatching, ClauseOverFactsAndRules) {
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .ConsultString("c(1, [a, b]).\n"
+                                 "c(N, L) :- length(L, N), N > 0.\n"
+                                 "c(X, X) :- d(X).\n")
+                  .ok());
+  Result<std::vector<Answer>> all = engine.FindAll("clause(c(A, B), Body)");
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all.value().size(), 3u);
+  EXPECT_EQ(all.value()[0]["B"], "[a,b]");
+  EXPECT_EQ(all.value()[0]["Body"], "true");
+  EXPECT_TRUE(engine.Holds("clause(c(2, L), (length(L2, 2), _)), L == L2")
+                  .value());
+  // Read mode into the list, write mode into the unbound body.
+  EXPECT_EQ(engine.Count("clause(c(1, [a, X]), B)").value(), 2u);
+  EXPECT_EQ(engine.Count("clause(c(1, [a, c]), B)").value(), 1u);
+  // The repeated head variable binds both goal arguments together.
+  EXPECT_EQ(engine.Count("clause(c(P, Q), d(R))").value(), 1u);
+  EXPECT_TRUE(engine.Holds("clause(c(P, Q), d(R)), P == Q, Q == R").value());
+  EXPECT_FALSE(engine.Holds("clause(c(1, 2), d(_))").value());
+}
+
 TEST(EngineApi, QuickstartFlow) {
   Engine engine;
   ASSERT_TRUE(engine

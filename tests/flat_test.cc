@@ -132,5 +132,74 @@ TEST_F(FlatTest, RoundTripPropertyOnNestedTerms) {
   }
 }
 
+// --- MatchNext: head unification against a stored clause image -----------
+
+TEST_F(FlatTest, MatchNextReadModeBuildsNothing) {
+  Word x = store_.MakeVar();
+  FlatTerm clause = Flatten(store_, S("p", {x, S("f", {x}), Atom("a")}));
+  Word goal = S("p", {IntCell(1), S("f", {IntCell(1)}), Atom("a")});
+  size_t heap = store_.heap_size();
+  size_t trail = store_.TrailMark();
+  std::vector<Word> vars(clause.num_vars, 0), work;
+  size_t pos = 0;
+  ASSERT_TRUE(MatchNext(&store_, clause, &pos, goal, &vars, &work));
+  EXPECT_EQ(pos, clause.size());
+  EXPECT_EQ(store_.heap_size(), heap);
+  EXPECT_EQ(store_.TrailMark(), trail);
+  EXPECT_EQ(store_.Deref(vars[0]), IntCell(1));
+}
+
+TEST_F(FlatTest, MatchNextWriteModeBindsTheUnboundGoalVariable) {
+  Word x = store_.MakeVar();
+  Word y = store_.MakeVar();
+  FlatTerm clause = Flatten(store_, S("p", {S("f", {x, S("g", {y})}), x}));
+  Word z = store_.MakeVar();
+  Word goal = S("p", {z, Atom("b")});
+  std::vector<Word> vars(clause.num_vars, 0), work;
+  size_t pos = 0;
+  ASSERT_TRUE(MatchNext(&store_, clause, &pos, goal, &vars, &work));
+  // The struct was built in write mode with a fresh X, which the second
+  // argument then bound to b.
+  Word expected = S("f", {Atom("b"), S("g", {store_.MakeVar()})});
+  EXPECT_EQ(Flatten(store_, goal),
+            Flatten(store_, S("p", {expected, Atom("b")})));
+}
+
+TEST_F(FlatTest, MatchNextRepeatedVariableUnifiesLaterOccurrences) {
+  Word x = store_.MakeVar();
+  FlatTerm clause = Flatten(store_, S("p", {x, x}));
+  std::vector<Word> vars, work;
+  size_t pos = 0;
+  size_t trail = store_.TrailMark();
+  vars.assign(clause.num_vars, 0);
+  EXPECT_FALSE(MatchNext(&store_, clause, &pos,
+                         S("p", {Atom("a"), Atom("b")}), &vars, &work));
+  store_.UndoTrail(trail);
+  Word a = store_.MakeVar();
+  Word b = store_.MakeVar();
+  Word goal = S("p", {a, b});
+  vars.assign(clause.num_vars, 0);
+  pos = 0;
+  ASSERT_TRUE(MatchNext(&store_, clause, &pos, goal, &vars, &work));
+  EXPECT_TRUE(store_.Identical(a, b));
+}
+
+TEST_F(FlatTest, MatchNextStopsAtTheBodyOfARule) {
+  Word x = store_.MakeVar();
+  Word y = store_.MakeVar();
+  // (p(X) :- q(X, Y)): the head starts at cell 1.
+  FlatTerm clause =
+      Flatten(store_, S(":-", {S("p", {x}), S("q", {x, y})}));
+  Word goal = S("p", {Atom("a")});
+  std::vector<Word> vars(clause.num_vars, 0), work;
+  size_t pos = 1;
+  ASSERT_TRUE(MatchNext(&store_, clause, &pos, goal, &vars, &work));
+  EXPECT_EQ(pos, 3u);
+  Word body = UnflattenNext(&store_, clause, &pos, &vars);
+  EXPECT_EQ(pos, clause.size());
+  EXPECT_EQ(Flatten(store_, body),
+            Flatten(store_, S("q", {Atom("a"), store_.MakeVar()})));
+}
+
 }  // namespace
 }  // namespace xsb

@@ -37,6 +37,12 @@ class ParserTest : public ::testing::Test {
   OpTable ops_;
 };
 
+TEST_F(ParserTest, WriterNamesAnInternedToken) {
+  // Table-space tokens never reach the heap, but a stray one must print as
+  // itself, not be read as a struct's heap index.
+  EXPECT_EQ(WriteTerm(store_, ops_, InternedCell(5)), "'$interned'(5)");
+}
+
 TEST_F(ParserTest, Atoms) {
   EXPECT_EQ(RoundTrip("foo"), "foo");
   EXPECT_EQ(RoundTrip("'hello world'"), "'hello world'");

@@ -172,7 +172,7 @@ BestMap NaiveBest(const WeightedGraph& g, const std::string& kind) {
 TEST(SubsumptionDifferential, ShortestAndWidestPathsAgreeAcrossEngines) {
   for (uint32_t seed = 0; seed < 51; ++seed) {
     WeightedGraph g = MakeGraph(seed);
-    for (const std::string& kind : {"min", "max"}) {
+    for (const std::string kind : {"min", "max"}) {
       BestMap slg = SlgBest(g, kind);
       BestMap bottom_up = BottomUpBest(g, kind);
       BestMap naive = NaiveBest(g, kind);
@@ -197,7 +197,7 @@ TEST(SubsumptionProperty, MinMaxAreInsertionOrderInsensitive) {
                       ").\n");
     }
     std::mt19937 rng(seed * 7 + 1);
-    for (const std::string& kind : {"min", "max"}) {
+    for (const std::string kind : {"min", "max"}) {
       BestMap reference = SlgBest(g, kind);
       for (int shuffle = 0; shuffle < 3; ++shuffle) {
         std::shuffle(facts.begin(), facts.end(), rng);

@@ -1078,6 +1078,58 @@ TEST(SlgWorkCounters, LeftRecursiveClosureOverChordedCycle) {
   EXPECT_EQ(stats.consumer_resumptions.load(), 40u);
 }
 
+// The tabled Earley-style expression grammar of the chart-parsing
+// benchmark workload, over one 13-token sentence (id 0; a whole expression
+// always has an odd number of tokens) and one 3-token sentence (id 1). tok/4
+// is indexed on the sentence id only, so every tok call tries each token
+// clause of its sentence. The expected counts were taken from the engine
+// that built each candidate clause before unifying its head: matching a
+// head in place changes how a head is matched, not how many are.
+TEST(ClauseResolutionCounters, ChartParseOfThirteenTokens) {
+  Engine engine;
+  ASSERT_TRUE(
+      engine
+          .ConsultString(
+              ":- table e/4, t/4, f/4.\n"
+              "e(S,I,J,plus(A,B)) :- e(S,I,K,A), tok(S,K,'+',K1), "
+              "t(S,K1,J,B).\n"
+              "e(S,I,J,T) :- t(S,I,J,T).\n"
+              "t(S,I,J,times(A,B)) :- t(S,I,K,A), tok(S,K,'*',K1), "
+              "f(S,K1,J,B).\n"
+              "t(S,I,J,T) :- f(S,I,J,T).\n"
+              "f(S,I,J,num(N)) :- tok(S,I,num(N),J).\n"
+              "f(S,I,J,T) :- tok(S,I,'(',K), e(S,K,K1,T), "
+              "tok(S,K1,')',J).\n"
+              // ( 1 + 2 + 3 ) * 4 + 5 * 6
+              "tok(0,0,'(',1). tok(0,1,num(1),2). tok(0,2,'+',3).\n"
+              "tok(0,3,num(2),4). tok(0,4,'+',5). tok(0,5,num(3),6).\n"
+              "tok(0,6,')',7). tok(0,7,'*',8). tok(0,8,num(4),9).\n"
+              "tok(0,9,'+',10). tok(0,10,num(5),11). tok(0,11,'*',12).\n"
+              "tok(0,12,num(6),13).\n"
+              // 7 * 8
+              "tok(1,0,num(7),1). tok(1,1,'*',2). tok(1,2,num(8),3).\n")
+          .ok());
+  engine.machine().stats() = MachineStats();
+  Result<std::vector<Answer>> answers = engine.FindAll("e(0, 0, 13, T)");
+  ASSERT_TRUE(answers.ok());
+  ASSERT_EQ(answers.value().size(), 1u);
+  EXPECT_EQ(answers.value()[0]["T"],
+            "plus(times(plus(plus(num(1),num(2)),num(3)),num(4)),"
+            "times(num(5),num(6)))");
+  const MachineStats& machine = engine.machine().stats();
+  EXPECT_EQ(machine.user_calls, 102u);
+  EXPECT_EQ(machine.head_unifications, 692u);
+  EXPECT_EQ(machine.choice_points, 116u);
+  const TableStats& tables = engine.evaluator().tables().stats();
+  EXPECT_EQ(tables.subgoals_created.load(), 21u);
+  EXPECT_EQ(tables.answers_inserted.load(), 24u);
+  EXPECT_EQ(tables.duplicate_answers.load(), 0u);
+  EXPECT_EQ(tables.consumer_suspensions.load(), 30u);
+  EXPECT_EQ(tables.consumer_resumptions.load(), 44u);
+  // No predicate is incremental, so no update reaches the evaluator.
+  EXPECT_EQ(engine.evaluator().stats().update_events, 0u);
+}
+
 TEST(GoalArena, ThousandQueriesLeaveTheArenaEmpty) {
   Engine engine;
   ASSERT_TRUE(engine
