@@ -56,7 +56,6 @@ stamp() {
 run subst_factoring bench-out/BENCH_subst_factoring.json
 run incremental_updates bench-out/BENCH_incremental.json
 run concurrent_queries bench-out/BENCH_concurrent.json
-run wam_modes bench-out/BENCH_modes.json
 run subsumption bench-out/BENCH_subsumption.json
 run meta_overhead bench-out/BENCH_meta_overhead.json
 run fig5_path bench-out/BENCH_fig5_path.json

@@ -32,17 +32,6 @@ Inst AbsUnifyInst(Inst a, Inst b) {
   return Inst::kAny;
 }
 
-Inst SpecMeetInst(Inst a, Inst b) {
-  if (a == b) return a;
-  if (a == Inst::kAny) return b;
-  if (b == Inst::kAny) return a;
-  if ((a == Inst::kGround && b == Inst::kNonvar) ||
-      (a == Inst::kNonvar && b == Inst::kGround)) {
-    return Inst::kGround;
-  }
-  return Inst::kAny;  // free vs bound: no single target fits both
-}
-
 const char* InstName(Inst inst) {
   switch (inst) {
     case Inst::kGround:
@@ -664,18 +653,16 @@ void ModeAnalyzer::ComputeDemands(FunctorId f, const Predicate& pred) {
 void ModeAnalyzer::Finalize() {
   for (auto& [f, pm] : result_.preds) {
     (void)f;
-    InstVec site_join, spec_meet, success_join;
+    InstVec site_join, success_join;
     bool have_site = false, have_success = false;
     for (const ModePattern& pat : pm.patterns) {
       if (pat.from_site) {
         if (!have_site) {
           site_join = pat.call;
-          spec_meet = pat.call;
           have_site = true;
         } else {
           for (size_t i = 0; i < site_join.size(); ++i) {
             site_join[i] = JoinInst(site_join[i], pat.call[i]);
-            spec_meet[i] = SpecMeetInst(spec_meet[i], pat.call[i]);
           }
         }
       }
@@ -691,7 +678,6 @@ void ModeAnalyzer::Finalize() {
       }
     }
     pm.site_join = std::move(site_join);
-    pm.spec_meet = std::move(spec_meet);
     pm.success_join = std::move(success_join);
   }
 }
@@ -861,7 +847,6 @@ void PublishModes(Program* program, const AnalysisResult& analysis) {
       pub->patterns.push_back(std::move(p));
     }
     pub->site_join = InstBytes(pm.site_join);
-    pub->spec_meet = InstBytes(pm.spec_meet);
     pub->success_join = InstBytes(pm.success_join);
     pub->epoch = epoch;
     pred->set_modes(

@@ -44,11 +44,6 @@ bool InstLeq(Inst a, Inst b);
 // the two sides (ground wins; nonvar next; free∪free stays free; free
 // against any may come out anything).
 Inst AbsUnifyInst(Inst a, Inst b);
-// Meet used for picking a specialization target from several observed call
-// patterns: the most precise compatible state, or kAny when the patterns
-// genuinely conflict (free vs bound — specializing either way would make
-// half the calls take the fallback).
-Inst SpecMeetInst(Inst a, Inst b);
 // "ground" / "nonvar" / "free" / "any".
 const char* InstName(Inst inst);
 
@@ -81,10 +76,6 @@ struct PredModes {
   // Join over the site-derived patterns' call vectors; empty when the
   // predicate has no analyzed call site.
   InstVec site_join;
-  // SpecMeet over the site-derived patterns' call vectors: the most precise
-  // pattern worth specializing code for (runtime-guarded, so precision here
-  // costs only fallbacks, never soundness). Empty when no site exists.
-  InstVec spec_meet;
   // Join over every pattern's known success vector; empty when no pattern
   // ever succeeds.
   InstVec success_join;
@@ -137,8 +128,8 @@ ModeResult AnalyzeModes(const Program& program, const AnalysisResult& analysis,
                         const std::vector<ModeEntry>& entries = {});
 
 // Stores the inferred modes on the program's predicates (Predicate::modes(),
-// consumed by the WAM specializer, predicate_mode/2 and the runtime
-// soundness oracle), stamped with the program's current clause epoch so
+// consumed by predicate_mode/2, the evaluator's shard reach masks and the
+// runtime soundness oracle), stamped with the program's current clause epoch so
 // consumers can detect staleness after runtime asserts. Also derives the
 // per-call-pattern shard reach masks and the first-argument key masks from
 // `analysis`'s SCC numbering, so it wants the full AnalysisResult (with its

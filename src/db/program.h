@@ -48,9 +48,8 @@ inline constexpr uint8_t kModeFree = 2;    // definitely an unbound variable
 inline constexpr uint8_t kModeAny = 3;     // no information
 
 // Inferred call/success patterns of one predicate, as published by
-// analysis::PublishModes. Consumers: the WAM compiler (specialization
-// target + runtime guard), predicate_mode/2, the evaluator's per-pattern
-// shard reach masks, and the sanitizer-build soundness oracle.
+// analysis::PublishModes. Consumers: predicate_mode/2, the evaluator's
+// per-pattern shard reach masks, and the sanitizer-build soundness oracle.
 struct PublishedModes {
   struct Pattern {
     std::vector<uint8_t> call;
@@ -63,14 +62,12 @@ struct PublishedModes {
   std::vector<Pattern> patterns;     // [0] is the all-`any` top pattern
   std::vector<uint8_t> site_join;    // join over call-site patterns ([] = no
                                      // analyzed call site)
-  std::vector<uint8_t> spec_meet;    // most precise site pattern worth
-                                     // specializing for ([] = none)
   std::vector<uint8_t> success_join; // [] = never succeeds
   // Program::clause_epoch() at publication. Runtime asserts bump the epoch,
   // after which success modes may understate the program (a new clause can
   // produce differently-bound answers): epoch-mismatched modes must not be
   // *trusted* (the oracle skips its asserts), though they remain usable as
-  // hints (shard masks, guarded WAM code).
+  // hints (shard masks).
   uint64_t epoch = 0;
 };
 

@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "analysis/analyzer.h"
+#include "engine/arith.h"
 #include "parser/writer.h"
 #include "wam/emulator.h"
 
@@ -100,7 +101,7 @@ BuiltinResult BuiltinGround(Machine& m, Word goal, const GoalNode*) {
 // --- Arithmetic -----------------------------------------------------------------
 
 BuiltinResult BuiltinIs(Machine& m, Word goal, const GoalNode*) {
-  Result<int64_t> v = m.EvalArith(Arg(m, goal, 1));
+  Result<int64_t> v = EvalArith(*m.store(), Arg(m, goal, 1));
   if (!v.ok()) {
     m.SetError(v.status());
     return BuiltinResult::kError;
@@ -110,12 +111,12 @@ BuiltinResult BuiltinIs(Machine& m, Word goal, const GoalNode*) {
 
 template <typename Cmp>
 BuiltinResult ArithCompare(Machine& m, Word goal, Cmp cmp) {
-  Result<int64_t> a = m.EvalArith(Arg(m, goal, 0));
+  Result<int64_t> a = EvalArith(*m.store(), Arg(m, goal, 0));
   if (!a.ok()) {
     m.SetError(a.status());
     return BuiltinResult::kError;
   }
-  Result<int64_t> b = m.EvalArith(Arg(m, goal, 1));
+  Result<int64_t> b = EvalArith(*m.store(), Arg(m, goal, 1));
   if (!b.ok()) {
     m.SetError(b.status());
     return BuiltinResult::kError;
@@ -901,14 +902,12 @@ BuiltinResult BuiltinTableStats(Machine& m, Word goal, const GoalNode*) {
 }
 
 // wam_stats/2: wam_stats(all, Stats) unifies Stats with the process-wide WAM
-// execution-tier counters as [instructions-N, choice_points-N, mode_checks-N,
-// mode_fallbacks-N, jit_compiled_preds-N, jit_entries-N, jit_bailouts-N,
+// emulator counters as [instructions-N, choice_points-N,
 // switch_structure_hits-N, switch_miss_linear-N].
 // Counters aggregate over every emulator instance the process has run
-// (flushed at the end of each Solve), so benches and the shell can read the
-// tier ladder — including how much work ran natively — without touching C++
-// structs. The same functor is recognized by the WAM compiler, so the goal
-// also works when compiled straight to bytecode.
+// (flushed at the end of each Solve), so benches and the shell can read them
+// without touching C++ structs. The same functor is recognized by the WAM
+// compiler, so the goal also works when compiled straight to bytecode.
 BuiltinResult BuiltinWamStatsEngine(Machine& m, Word goal, const GoalNode*) {
   TermStore* store = m.store();
   SymbolTable* symbols = store->symbols();
@@ -922,11 +921,6 @@ BuiltinResult BuiltinWamStatsEngine(Machine& m, Word goal, const GoalNode*) {
   std::vector<Word> items = {
       pair("instructions", stats.instructions),
       pair("choice_points", stats.choice_points),
-      pair("mode_checks", stats.mode_checks),
-      pair("mode_fallbacks", stats.mode_fallbacks),
-      pair("jit_compiled_preds", stats.jit_compiled_preds),
-      pair("jit_entries", stats.jit_entries),
-      pair("jit_bailouts", stats.jit_bailouts),
       pair("switch_structure_hits", stats.switch_structure_hits),
       pair("switch_miss_linear", stats.switch_miss_linear),
   };

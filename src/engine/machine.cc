@@ -624,68 +624,4 @@ Result<std::vector<FlatTerm>> Machine::FindAll(Word templ, Word goal) {
   return out;
 }
 
-Result<int64_t> Machine::EvalArith(Word expression) {
-  Word e = store_->Deref(expression);
-  if (IsInt(e)) return IntValue(e);
-  if (IsRef(e)) {
-    return InstantiationError("arithmetic on an unbound variable");
-  }
-  SymbolTable* symbols = store_->symbols();
-  if (IsStruct(e)) {
-    FunctorId f = store_->StructFunctor(e);
-    const std::string& name = symbols->AtomName(symbols->FunctorAtom(f));
-    int arity = symbols->FunctorArity(f);
-    if (arity == 1) {
-      Result<int64_t> a = EvalArith(store_->Arg(e, 0));
-      if (!a.ok()) return a;
-      int64_t x = a.value();
-      if (name == "-") return -x;
-      if (name == "+") return x;
-      if (name == "abs") return x < 0 ? -x : x;
-      if (name == "sign") return x > 0 ? 1 : (x < 0 ? -1 : 0);
-      if (name == "\\") return ~x;
-      return TypeError("unknown arithmetic function " + name + "/1");
-    }
-    if (arity == 2) {
-      Result<int64_t> a = EvalArith(store_->Arg(e, 0));
-      if (!a.ok()) return a;
-      Result<int64_t> b = EvalArith(store_->Arg(e, 1));
-      if (!b.ok()) return b;
-      int64_t x = a.value();
-      int64_t y = b.value();
-      if (name == "+") return x + y;
-      if (name == "-") return x - y;
-      if (name == "*") return x * y;
-      if (name == "//" || name == "/") {
-        if (y == 0) return TypeError("zero divisor");
-        return x / y;
-      }
-      if (name == "mod") {
-        if (y == 0) return TypeError("zero divisor");
-        int64_t m = x % y;
-        if (m != 0 && ((m < 0) != (y < 0))) m += y;
-        return m;
-      }
-      if (name == "rem") {
-        if (y == 0) return TypeError("zero divisor");
-        return x % y;
-      }
-      if (name == "min") return x < y ? x : y;
-      if (name == "max") return x > y ? x : y;
-      if (name == ">>") return x >> y;
-      if (name == "<<") return x << y;
-      if (name == "/\\") return x & y;
-      if (name == "\\/") return x | y;
-      if (name == "xor") return x ^ y;
-      if (name == "**" || name == "^") {
-        int64_t r = 1;
-        for (int64_t i = 0; i < y; ++i) r *= x;
-        return r;
-      }
-      return TypeError("unknown arithmetic function " + name + "/2");
-    }
-  }
-  return TypeError("bad arithmetic expression");
-}
-
 }  // namespace xsb

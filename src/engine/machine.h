@@ -246,9 +246,6 @@ class Machine {
     has_counted_functor_ = true;
   }
 
-  // Evaluates an arithmetic expression term (is/2, comparisons).
-  Result<int64_t> EvalArith(Word expression);
-
  private:
   friend class BuiltinRegistry;
 

@@ -13,9 +13,7 @@ QueryService::QueryService(Options options)
     : options_(options),
       symbols_(std::make_unique<SymbolTable>()),
       program_(std::make_unique<Program>(symbols_.get())),
-      tables_(std::make_unique<TableSpace>(symbols_.get(),
-                                           options.answer_trie,
-                                           /*shared=*/true)) {
+      tables_(std::make_unique<TableSpace>(symbols_.get(), /*shared=*/true)) {
   control_ = MakeSession(/*control=*/true);
   int n = options_.num_workers < 1 ? 1 : options_.num_workers;
   workers_.reserve(static_cast<size_t>(n));
@@ -53,7 +51,6 @@ QueryService::Session QueryService::MakeSession(bool control) {
   session.machine =
       std::make_unique<Machine>(session.store.get(), program_.get());
   Evaluator::Options eval;
-  eval.answer_trie = options_.answer_trie;
   eval.early_completion = options_.early_completion;
   eval.incremental = options_.incremental;
   // The Program has one update-listener slot; the control session owns it.
@@ -117,17 +114,22 @@ Result<size_t> QueryService::Count(std::string_view goal) {
 Result<std::vector<Answer>> QueryService::RunGoal(Session& session,
                                                   std::string_view goal,
                                                   size_t max_answers) {
+  // Marks first: the parsed goal itself lives on the heap and goes with the
+  // query.
+  size_t trail = session.store->TrailMark();
+  size_t heap = session.store->HeapMark();
   std::string buffer(goal);
   buffer += " .";
   Reader reader(session.store.get(), program_->ops(), buffer,
                 program_->hilog_atoms());
   Result<Word> parsed = reader.ReadClause();
-  if (!parsed.ok()) return parsed.status();
+  if (!parsed.ok()) {
+    session.store->TruncateHeap(heap);
+    return parsed.status();
+  }
   std::vector<std::pair<std::string, Word>> names = reader.var_names();
 
   std::vector<Answer> answers;
-  size_t trail = session.store->TrailMark();
-  size_t heap = session.store->HeapMark();
   Status status = session.machine->Solve(parsed.value(), [&]() {
     Answer answer;
     answer.bindings.reserve(names.size());
@@ -170,6 +172,8 @@ void QueryService::WorkerLoop(Worker* worker) {
       Result<std::vector<Answer>> result =
           RunGoal(worker->session, job.goal, /*max_answers=*/SIZE_MAX);
       worker->queries_served.fetch_add(1, std::memory_order_relaxed);
+      worker->heap_cells.store(worker->session.store->HeapMark(),
+                               std::memory_order_relaxed);
       if (!result.ok()) {
         worker->errors.fetch_add(1, std::memory_order_relaxed);
       }
@@ -215,6 +219,7 @@ QueryService::ServiceStats QueryService::Stats() const {
     ws.queries_served =
         worker->queries_served.load(std::memory_order_relaxed);
     ws.errors = worker->errors.load(std::memory_order_relaxed);
+    ws.heap_cells = worker->heap_cells.load(std::memory_order_relaxed);
     stats.queries_served += ws.queries_served;
     stats.per_worker.push_back(ws);
   }

@@ -63,7 +63,6 @@ class QueryService {
  public:
   struct Options {
     int num_workers = 2;           // worker threads (>= 1)
-    bool answer_trie = true;       // see Engine::Options
     bool early_completion = false;
     bool incremental = true;
   };
@@ -102,6 +101,7 @@ class QueryService {
   struct WorkerStats {
     uint64_t queries_served = 0;
     uint64_t errors = 0;
+    uint64_t heap_cells = 0;  // the worker's heap size after its last query
   };
   struct ServiceStats {
     std::vector<WorkerStats> per_worker;
@@ -134,6 +134,7 @@ class QueryService {
     std::thread thread;
     std::atomic<uint64_t> queries_served{0};
     std::atomic<uint64_t> errors{0};
+    std::atomic<uint64_t> heap_cells{0};
   };
 
   struct Job {

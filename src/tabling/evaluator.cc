@@ -42,8 +42,8 @@ Evaluator::Evaluator(Machine* machine, Options options,
   if (shared_tables != nullptr) {
     tables_ = shared_tables;
   } else {
-    owned_tables_ = std::make_unique<TableSpace>(
-        machine->store()->symbols(), options.answer_trie, /*shared=*/false);
+    owned_tables_ = std::make_unique<TableSpace>(machine->store()->symbols(),
+                                                 /*shared=*/false);
     tables_ = owned_tables_.get();
   }
   SymbolTable* symbols = machine->store()->symbols();

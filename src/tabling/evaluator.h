@@ -73,10 +73,6 @@ namespace xsb {
 class Evaluator : public TabledCallHandler, public TableUpdateListener {
  public:
   struct Options {
-    // Store answers as interned token paths in a trie (the default). When
-    // false, falls back to the materialized vector + hash-set store, kept
-    // for the indexing-ablation bench.
-    bool answer_trie = true;
     // Complete ground subgoals as soon as their answer arrives, cutting off
     // the rest of their generator. This post-1994 XSB optimization makes
     // default tnot behave like e_tnot on Table 2's trees, so it is OFF by

@@ -104,106 +104,8 @@ class Compiler {
       }
     }
 
-    size_t begin = Here();
-    module_.entries[functor] = begin;
-
-    // Mode specialization: when the published modes prove arguments bound
-    // at every analyzed call site and that buys at least one cheaper head
-    // instruction (or a switch without the var test), emit a specialized
-    // body behind a kCheckMode guard, with a generic copy as its verified
-    // fallback. The guard makes the analysis a hint: a call violating the
-    // inferred pattern takes the generic path, never wrong code.
-    std::vector<uint8_t> spec;
-    if (options_.specialize) spec = SpecFor(pred, arity, live, switchable);
-    if (!spec.empty()) {
-      size_t check_pc = Here();
-      Emit(Op::kCheckMode, static_cast<uint32_t>(module_.mode_specs.size()),
-           static_cast<uint32_t>(arity));
-      module_.mode_specs.push_back(spec);
-      cur_spec_ = spec;
-      Status s = EmitPredicateBody(pred, live, first_keys, switchable, arity);
-      cur_spec_.clear();
-      if (!s.ok()) return s;
-      module_.code[check_pc].c = static_cast<uint32_t>(Here());
-    }
-    Status s = EmitPredicateBody(pred, live, first_keys, switchable, arity);
-    if (!s.ok()) return s;
-    module_.pred_ranges.push_back(PredRange{
-        functor, static_cast<uint32_t>(begin), static_cast<uint32_t>(Here())});
-    return Status::Ok();
-  }
-
-  // True when `mode` proves the argument has a known outer symbol.
-  static bool ModeBound(uint8_t mode) {
-    return mode == kModeGround || mode == kModeNonvar;
-  }
-
-  // The specialization target for `pred`, or {} when the modes are absent
-  // or buy nothing (guard overhead with no cheaper instruction is a loss).
-  std::vector<uint8_t> SpecFor(const Predicate* pred, int arity,
-                               const std::vector<ClauseId>& live,
-                               bool switchable) const {
-    const PublishedModes* modes = pred->modes();
-    if (modes == nullptr ||
-        modes->spec_meet.size() != static_cast<size_t>(arity)) {
-      return {};
-    }
-    std::vector<uint8_t> spec = modes->spec_meet;
-    // Groundness is only exploited by read-mode code *inside* structured
-    // head arguments (kUnifyConstantRd, read-only nested structures): a
-    // head argument whose structure holds nothing but variables compiles
-    // to the same instructions under nonvar, and the nonvar guard is one
-    // deref where the ground guard walks the whole term on every call.
-    // Weaken each proven-ground argument the emitted code won't exploit.
-    std::vector<bool> interior(static_cast<size_t>(arity), false);
-    for (ClauseId id : live) {
-      const Clause& clause = pred->clause(id);
-      const std::vector<Word>& cells = clause.term.cells;
-      if (!IsFunctor(cells[clause.head_pos])) continue;
-      size_t arg = clause.head_pos + 1;
-      for (int i = 0; i < arity; ++i) {
-        size_t end = SkipFlatSubterm(*symbols_, cells, arg);
-        if (IsFunctor(cells[arg])) {
-          for (size_t p = arg + 1; p < end; ++p) {
-            if (!IsLocal(cells[p])) {
-              interior[static_cast<size_t>(i)] = true;
-              break;
-            }
-          }
-        }
-        arg = end;
-      }
-    }
-    for (int i = 0; i < arity; ++i) {
-      if (spec[static_cast<size_t>(i)] == kModeGround &&
-          !interior[static_cast<size_t>(i)]) {
-        spec[static_cast<size_t>(i)] = kModeNonvar;
-      }
-    }
-    bool benefit = switchable && ModeBound(spec[0]);
-    for (ClauseId id : live) {
-      if (benefit) break;
-      const Clause& clause = pred->clause(id);
-      const std::vector<Word>& cells = clause.term.cells;
-      if (!IsFunctor(cells[clause.head_pos])) break;
-      size_t arg = clause.head_pos + 1;
-      for (int i = 0; i < arity; ++i) {
-        if (ModeBound(spec[static_cast<size_t>(i)]) && !IsLocal(cells[arg])) {
-          benefit = true;
-          break;
-        }
-        arg = SkipFlatSubterm(*symbols_, cells, arg);
-      }
-    }
-    return benefit ? spec : std::vector<uint8_t>{};
-  }
-
-  // One full body of a predicate: dispatch plus clause code. Emitted twice
-  // for specialized predicates (once with cur_spec_ set, once generic).
-  Status EmitPredicateBody(const Predicate* pred,
-                           const std::vector<ClauseId>& live,
-                           const std::vector<Word>& first_keys,
-                           bool switchable, int arity) {
+    // Dispatch plus clause code.
+    module_.entries[functor] = Here();
     if (live.size() == 1) {
       return CompileClause(pred->clause(live[0]));
     }
@@ -231,41 +133,27 @@ class Compiler {
 
     // Two-level dispatch: switch_on_term splits var/constant/structure,
     // below it a constant table, a functor table and a './2' fast path
-    // share the clause blocks. With a spec proving the first argument
-    // bound, the var test (and the full chain behind it) is dead — and
-    // when only one key kind occurs, the entry dispatches straight into
-    // that table; constant-keyed clause blocks then skip their
-    // first-argument get, the switch already verified it.
-    bool first_arg_known =
-        !cur_spec_.empty() && ModeBound(cur_spec_[0]);
+    // share the clause blocks.
     bool has_const = false;
     bool has_struct = false;
     for (Word key : first_keys) (IsFunctor(key) ? has_struct : has_const) = true;
     const FunctorId cons = symbols_->InternFunctor(symbols_->dot(), 2);
     const Word list_key = FunctorCell(cons);
 
-    bool need_term_switch = !first_arg_known || (has_const && has_struct);
-    size_t switch_pc = 0;
-    if (need_term_switch) {
-      switch_pc = Here();
-      // All three arms patched below; an absent side stays kFailTarget.
-      Emit(Op::kSwitchOnTerm, kFailTarget, kFailTarget, kFailTarget);
-    }
+    size_t switch_pc = Here();
+    // All three arms patched below; an absent side stays kFailTarget.
+    Emit(Op::kSwitchOnTerm, kFailTarget, kFailTarget, kFailTarget);
     uint32_t const_table = 0;
     uint32_t struct_table = 0;
     size_t struct_switch_pc = 0;
     if (has_const) {
-      if (need_term_switch) {
-        module_.code[switch_pc].b = static_cast<uint32_t>(Here());
-      }
+      module_.code[switch_pc].b = static_cast<uint32_t>(Here());
       const_table = static_cast<uint32_t>(module_.switch_tables.size());
       module_.switch_tables.emplace_back();
       Emit(Op::kSwitchOnConstant, const_table);
     }
     if (has_struct) {
-      if (need_term_switch) {
-        module_.code[switch_pc].c = static_cast<uint32_t>(Here());
-      }
+      module_.code[switch_pc].c = static_cast<uint32_t>(Here());
       struct_switch_pc = Here();
       struct_table = static_cast<uint32_t>(module_.switch_tables.size());
       module_.switch_tables.emplace_back();
@@ -309,26 +197,20 @@ class Compiler {
       }
     }
 
-    // Full chain (unbound first argument); dead when the spec proves the
-    // first argument bound.
-    if (!first_arg_known) {
-      size_t full_chain_pc = Here();
-      module_.code[switch_pc].a = static_cast<uint32_t>(full_chain_pc);
-      for (size_t i = 0; i < live.size(); ++i) {
-        Op op = i == 0 ? Op::kTry
-                       : (i + 1 < live.size() ? Op::kRetry : Op::kTrust);
-        refs.push_back({Here(), i});
-        Emit(op, 0, static_cast<uint32_t>(arity));
-      }
+    // Full chain (unbound first argument).
+    module_.code[switch_pc].a = static_cast<uint32_t>(Here());
+    for (size_t i = 0; i < live.size(); ++i) {
+      Op op = i == 0 ? Op::kTry
+                     : (i + 1 < live.size() ? Op::kRetry : Op::kTrust);
+      refs.push_back({Here(), i});
+      Emit(op, 0, static_cast<uint32_t>(arity));
     }
 
     // Clause blocks.
     std::vector<size_t> clause_pc(live.size());
     for (size_t i = 0; i < live.size(); ++i) {
       clause_pc[i] = Here();
-      skip_first_get_ = first_arg_known;
       Status s = CompileClause(pred->clause(live[i]));
-      skip_first_get_ = false;
       if (!s.ok()) return s;
     }
     for (const ChainRef& ref : refs) {
@@ -459,13 +341,10 @@ class Compiler {
   }
   bool FirstOccurrence(Word var) { return seen_.insert(PayloadOf(var)).second; }
 
-  // BFS queue entry for nested head structures: `rd` marks a structure
-  // rooted under a proven-ground argument, whose subterm cells can never be
-  // unbound (read-only matching, no write-mode code).
+  // BFS queue entry for a nested head structure.
   struct HeadStruct {
     uint32_t reg;
     Word term;
-    bool rd;
   };
 
   Status CompileHead(ClauseCtx* ctx, Word head) {
@@ -476,38 +355,32 @@ class Compiler {
     for (int i = 0; i < arity; ++i) {
       Word arg = store_->Deref(store_->Arg(head, i));
       uint32_t ai = static_cast<uint32_t>(i + 1);
-      uint8_t mode = static_cast<size_t>(i) < cur_spec_.size()
-                         ? cur_spec_[static_cast<size_t>(i)]
-                         : kModeAny;
       if (IsRef(arg)) {
         uint32_t reg = VarReg(ctx, arg);
         Emit(FirstOccurrence(arg) ? Op::kGetVariable : Op::kGetValue, reg,
              ai);
       } else if (IsAtom(arg) || IsInt(arg)) {
-        if (i == 0 && skip_first_get_) continue;  // the switch verified it
-        Emit(ModeBound(mode) ? Op::kGetConstantNv : Op::kGetConstant,
-             static_cast<uint32_t>(module_.AddConstant(arg)), ai);
+        Emit(Op::kGetConstant, static_cast<uint32_t>(module_.AddConstant(arg)),
+             ai);
       } else {
-        Emit(ModeBound(mode) ? Op::kGetStructureRd : Op::kGetStructure,
+        Emit(Op::kGetStructure,
              static_cast<uint32_t>(store_->StructFunctor(arg)), ai);
-        EmitUnifyArgs(ctx, arg, &queue, mode == kModeGround);
+        EmitUnifyArgs(ctx, arg, &queue);
       }
     }
     while (!queue.empty()) {
       HeadStruct item = queue.front();
       queue.pop_front();
-      Emit(item.rd ? Op::kGetStructureRd : Op::kGetStructure,
+      Emit(Op::kGetStructure,
            static_cast<uint32_t>(store_->StructFunctor(item.term)), item.reg);
-      EmitUnifyArgs(ctx, item.term, &queue, item.rd);
+      EmitUnifyArgs(ctx, item.term, &queue);
     }
     return Status::Ok();
   }
 
   // unify_* sequence for the args of `term`, queueing nested structures.
-  // `rd`: the enclosing structure is proven ground, so argument cells are
-  // never unbound and nested structures stay read-only.
-  void EmitUnifyArgs(ClauseCtx* ctx, Word term, std::deque<HeadStruct>* queue,
-                     bool rd) {
+  void EmitUnifyArgs(ClauseCtx* ctx, Word term,
+                     std::deque<HeadStruct>* queue) {
     int n = store_->StructArity(term);
     for (int i = 0; i < n; ++i) {
       Word arg = store_->Deref(store_->Arg(term, i));
@@ -516,12 +389,12 @@ class Compiler {
         Emit(FirstOccurrence(arg) ? Op::kUnifyVariable : Op::kUnifyValue,
              reg);
       } else if (IsAtom(arg) || IsInt(arg)) {
-        Emit(rd ? Op::kUnifyConstantRd : Op::kUnifyConstant,
+        Emit(Op::kUnifyConstant,
              static_cast<uint32_t>(module_.AddConstant(arg)));
       } else {
         uint32_t temp = XReg(ctx->temp_next++);
         Emit(Op::kUnifyVariable, temp);
-        queue->push_back({temp, arg, rd});
+        queue->push_back({temp, arg});
       }
     }
   }
@@ -612,11 +485,6 @@ class Compiler {
   std::vector<std::pair<size_t, FunctorId>> call_fixups_;
   std::unordered_set<FunctorId> compiled_set_;
   std::unordered_set<uint64_t> seen_;
-  // Active mode spec while emitting a specialized predicate body (empty =
-  // generic), and whether clause blocks may omit their first-argument get
-  // (constant-switch dispatch already verified it).
-  std::vector<uint8_t> cur_spec_;
-  bool skip_first_get_ = false;
 };
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <mutex>
 
 #include "db/program.h"
+#include "engine/arith.h"
 
 namespace xsb::wam {
 
@@ -24,16 +25,6 @@ WamStats GlobalWamStats() {
   return GlobalStatsTotals();
 }
 
-Emulator::Emulator(TermStore* store, const CompiledModule* module,
-                   EmulatorOptions options)
-    : store_(store), module_(module) {
-  if (options.jit_threshold >= 0 && !module->pred_ranges.empty() &&
-      Jit::HostSupported()) {
-    jit_ = std::make_unique<Jit>(this, module, store, options.jit_threshold);
-    if (!jit_->available()) jit_.reset();
-  }
-}
-
 Emulator::~Emulator() { FlushGlobalStats(); }
 
 void Emulator::FlushGlobalStats() {
@@ -41,33 +32,11 @@ void Emulator::FlushGlobalStats() {
   WamStats& t = GlobalStatsTotals();
   t.instructions += stats_.instructions - flushed_.instructions;
   t.choice_points += stats_.choice_points - flushed_.choice_points;
-  t.mode_checks += stats_.mode_checks - flushed_.mode_checks;
-  t.mode_fallbacks += stats_.mode_fallbacks - flushed_.mode_fallbacks;
-  t.jit_compiled_preds +=
-      stats_.jit_compiled_preds - flushed_.jit_compiled_preds;
-  t.jit_entries += stats_.jit_entries - flushed_.jit_entries;
-  t.jit_bailouts += stats_.jit_bailouts - flushed_.jit_bailouts;
   t.switch_structure_hits +=
       stats_.switch_structure_hits - flushed_.switch_structure_hits;
   t.switch_miss_linear +=
       stats_.switch_miss_linear - flushed_.switch_miss_linear;
   flushed_ = stats_;
-}
-
-bool Emulator::GroundForMode(Word w) {
-  std::vector<Word>& work = ground_work_;  // reused scratch space
-  work.clear();
-  work.push_back(w);
-  while (!work.empty()) {
-    Word v = store_->Deref(work.back());
-    work.pop_back();
-    if (IsRef(v)) return false;
-    if (IsStruct(v)) {
-      int n = store_->StructArity(v);
-      for (int k = 0; k < n; ++k) work.push_back(store_->Arg(v, k));
-    }
-  }
-  return true;
 }
 
 bool Emulator::BuiltinWamStats() {
@@ -81,11 +50,6 @@ bool Emulator::BuiltinWamStats() {
   std::vector<Word> items = {
       pair("instructions", snap.instructions),
       pair("choice_points", snap.choice_points),
-      pair("mode_checks", snap.mode_checks),
-      pair("mode_fallbacks", snap.mode_fallbacks),
-      pair("jit_compiled_preds", snap.jit_compiled_preds),
-      pair("jit_entries", snap.jit_entries),
-      pair("jit_bailouts", snap.jit_bailouts),
       pair("switch_structure_hits", snap.switch_structure_hits),
       pair("switch_miss_linear", snap.switch_miss_linear),
   };
@@ -107,45 +71,44 @@ bool Emulator::Backtrack(size_t* pc) {
   return true;
 }
 
-Result<int64_t> Emulator::Eval(Word expression) {
-  Word e = store_->Deref(expression);
-  if (IsInt(e)) return IntValue(e);
-  if (IsRef(e)) return InstantiationError("wam: unbound arithmetic");
-  if (!IsStruct(e)) return TypeError("wam: bad arithmetic term");
-  SymbolTable* symbols = store_->symbols();
-  FunctorId f = store_->StructFunctor(e);
-  const std::string& name = symbols->AtomName(symbols->FunctorAtom(f));
-  int arity = symbols->FunctorArity(f);
-  if (arity == 1) {
-    Result<int64_t> a = Eval(store_->Arg(e, 0));
-    if (!a.ok()) return a;
-    if (name == "-") return -a.value();
-    if (name == "+") return a.value();
-    if (name == "abs") return a.value() < 0 ? -a.value() : a.value();
-    return TypeError("wam: unknown arithmetic " + name + "/1");
-  }
-  if (arity == 2) {
-    Result<int64_t> a = Eval(store_->Arg(e, 0));
-    if (!a.ok()) return a;
-    Result<int64_t> b = Eval(store_->Arg(e, 1));
-    if (!b.ok()) return b;
-    int64_t x = a.value(), y = b.value();
-    if (name == "+") return x + y;
-    if (name == "-") return x - y;
-    if (name == "*") return x * y;
-    if (name == "//" || name == "/") {
-      if (y == 0) return TypeError("wam: zero divisor");
-      return x / y;
+Result<bool> Emulator::RunBuiltin(BuiltinOp op) {
+  switch (op) {
+    case BuiltinOp::kTrue:
+      return true;
+    case BuiltinOp::kFail:
+      return false;
+    case BuiltinOp::kUnify:
+      return store_->Unify(x_[1], x_[2]);
+    case BuiltinOp::kWamStats:
+      return BuiltinWamStats();
+    case BuiltinOp::kIs: {
+      Result<int64_t> v = EvalArith(*store_, x_[2]);
+      if (!v.ok()) return v.status();
+      return store_->Unify(x_[1], IntCell(v.value()));
     }
-    if (name == "mod") {
-      if (y == 0) return TypeError("wam: zero divisor");
-      int64_t m = x % y;
-      if (m != 0 && ((m < 0) != (y < 0))) m += y;
-      return m;
-    }
-    return TypeError("wam: unknown arithmetic " + name + "/2");
+    default:
+      break;
   }
-  return TypeError("wam: bad arithmetic term");
+  Result<int64_t> a = EvalArith(*store_, x_[1]);
+  if (!a.ok()) return a.status();
+  Result<int64_t> b = EvalArith(*store_, x_[2]);
+  if (!b.ok()) return b.status();
+  switch (op) {
+    case BuiltinOp::kLess:
+      return a.value() < b.value();
+    case BuiltinOp::kLessEq:
+      return a.value() <= b.value();
+    case BuiltinOp::kGreater:
+      return a.value() > b.value();
+    case BuiltinOp::kGreaterEq:
+      return a.value() >= b.value();
+    case BuiltinOp::kArithEq:
+      return a.value() == b.value();
+    case BuiltinOp::kArithNeq:
+      return a.value() != b.value();
+    default:
+      return InvalidError("wam: bad builtin");
+  }
 }
 
 Status Emulator::Solve(Word goal, const WamSolutionFn& on_solution) {
@@ -163,11 +126,8 @@ Status Emulator::SolveImpl(Word goal, const WamSolutionFn& on_solution) {
     return InvalidError("wam: predicate not compiled in this module");
   }
 
-  // Reset machine state. The JIT bakes X-register slots into native code, so
-  // keep x_ at least as large as any compiled predicate needs.
-  size_t min_x = jit_ != nullptr ? std::max<size_t>(16, jit_->max_xreg_plus1())
-                                 : 16;
-  x_.assign(min_x, 0);
+  // Reset machine state.
+  x_.assign(16, 0);
   frames_size_ = 0;  // storage kept: see the high-water-mark stack comment
   cur_frame_ = 0;
   cps_size_ = 0;
@@ -196,27 +156,7 @@ Status Emulator::SolveImpl(Word goal, const WamSolutionFn& on_solution) {
     }
   };
 
-  Jit* jit = jit_.get();
-
   while (running) {
-    if (jit != nullptr) {
-      uint8_t jf = jit->FlagsAt(pc);
-      if (jf != 0) {
-        if ((jf & Jit::kFlagEntry) != 0) {
-          jit->OnEntry(pc);
-          jf = jit->FlagsAt(pc);  // compilation may have set kFlagNative
-        }
-        if ((jf & Jit::kFlagNative) != 0) {
-          uint64_t next = jit->Execute(pc, &cont, &s, &write_mode);
-          if (next == Jit::kFailStop) {
-            running = false;
-          } else {
-            pc = next;
-          }
-          continue;
-        }
-      }
-    }
     const Instr& instr = code[pc];
     ++stats_.instructions;
     switch (instr.op) {
@@ -427,57 +367,11 @@ Status Emulator::SolveImpl(Word goal, const WamSolutionFn& on_solution) {
         break;
       }
       case Op::kBuiltin: {
-        BuiltinOp op = static_cast<BuiltinOp>(instr.a);
-        bool ok = true;
-        switch (op) {
-          case BuiltinOp::kTrue:
-            break;
-          case BuiltinOp::kFail:
-            ok = false;
-            break;
-          case BuiltinOp::kUnify:
-            ok = store_->Unify(x_[1], x_[2]);
-            break;
-          case BuiltinOp::kWamStats:
-            ok = BuiltinWamStats();
-            break;
-          case BuiltinOp::kIs: {
-            Result<int64_t> v = Eval(x_[2]);
-            if (!v.ok()) return v.status();
-            ok = store_->Unify(x_[1], IntCell(v.value()));
-            break;
-          }
-          default: {
-            Result<int64_t> a = Eval(x_[1]);
-            if (!a.ok()) return a.status();
-            Result<int64_t> b = Eval(x_[2]);
-            if (!b.ok()) return b.status();
-            switch (op) {
-              case BuiltinOp::kLess:
-                ok = a.value() < b.value();
-                break;
-              case BuiltinOp::kLessEq:
-                ok = a.value() <= b.value();
-                break;
-              case BuiltinOp::kGreater:
-                ok = a.value() > b.value();
-                break;
-              case BuiltinOp::kGreaterEq:
-                ok = a.value() >= b.value();
-                break;
-              case BuiltinOp::kArithEq:
-                ok = a.value() == b.value();
-                break;
-              case BuiltinOp::kArithNeq:
-                ok = a.value() != b.value();
-                break;
-              default:
-                return InvalidError("wam: bad builtin");
-            }
-            break;
-          }
-        }
-        if (ok) {
+        Result<bool> ok = RunBuiltin(static_cast<BuiltinOp>(instr.a));
+        if (!ok.ok()) {
+          status = ok.status();
+          running = false;
+        } else if (ok.value()) {
           ++pc;
         } else {
           fail();
@@ -497,68 +391,13 @@ Status Emulator::SolveImpl(Word goal, const WamSolutionFn& on_solution) {
       case Op::kHalt:
         running = false;
         break;
-      case Op::kCheckMode: {
-        // Verify the actual arguments against the inferred mode spec; on any
-        // mismatch fall back to the generic copy of the predicate (the
-        // analysis is a verified hint, never trusted).
-        ++stats_.mode_checks;
-        const std::vector<uint8_t>& spec = module_->mode_specs[instr.a];
-        bool ok = true;
-        for (uint32_t i = 0; i < instr.b && ok; ++i) {
-          uint8_t m = spec[i];
-          if (m == kModeNonvar) {
-            ok = !IsRef(store_->Deref(x_[i + 1]));
-          } else if (m == kModeGround) {
-            ok = GroundForMode(x_[i + 1]);
-          }
-        }
-        if (ok) {
-          ++pc;
-        } else {
-          ++stats_.mode_fallbacks;
-          pc = instr.c;
-        }
-        break;
-      }
-      case Op::kGetConstantNv: {
-        // Argument proven nonvar: compare only, no bind branch.
-        Word v = store_->Deref(x_[instr.b]);
-        if (v == module_->constants[instr.a]) {
-          ++pc;
-        } else {
-          fail();
-        }
-        break;
-      }
-      case Op::kGetStructureRd: {
-        // Argument proven nonvar: read mode only, no write-mode branch.
-        Word v = store_->Deref(x_[instr.b]);
-        if (IsStruct(v) && store_->StructFunctor(v) == instr.a) {
-          s = PayloadOf(v) + 1;
-          write_mode = false;
-          ++pc;
-        } else {
-          fail();
-        }
-        break;
-      }
-      case Op::kUnifyConstantRd: {
-        // Inside a ground structure: the argument cell cannot be unbound.
-        Word v = store_->Deref(store_->At(s));
-        if (v == module_->constants[instr.a]) {
-          ++s;
-          ++pc;
-        } else {
-          fail();
-        }
-        break;
-      }
     }
   }
 
   // Keep the last solution's bindings if the caller stopped; otherwise the
-  // search is exhausted and everything is unwound to the entry marks.
-  if (!stopped && status.ok()) {
+  // search is exhausted (or hit an error) and everything is unwound to the
+  // entry marks.
+  if (!stopped) {
     store_->UndoTrail(base_trail);
     store_->TruncateHeap(base_heap);
   }

@@ -124,21 +124,6 @@ std::string CompiledModule::Disassemble(const SymbolTable& symbols) const {
       case Op::kHalt:
         emit("halt");
         break;
-      case Op::kCheckMode:
-        emit("check_mode spec#" + std::to_string(i.a) + "/" +
-             std::to_string(i.b) + ", generic=" + std::to_string(i.c));
-        break;
-      case Op::kGetConstantNv:
-        emit("get_constant_nv " + constant_name(i.a) + ", A" +
-             std::to_string(i.b));
-        break;
-      case Op::kGetStructureRd:
-        emit("get_structure_rd " + functor_name(i.a) + ", A" +
-             std::to_string(i.b));
-        break;
-      case Op::kUnifyConstantRd:
-        emit("unify_constant_rd " + constant_name(i.a));
-        break;
       case Op::kSwitchOnStructure:
         emit("switch_on_structure table#" + std::to_string(i.a) +
              " list=" + std::to_string(i.c));

@@ -57,17 +57,6 @@ enum class Op : uint8_t {
   kSolution,  // report a solution, then backtrack
   kHalt,
 
-  // Mode-specialized instructions (emitted only under a kCheckMode guard;
-  // the analysis that justifies them is runtime-verified, never trusted).
-  kCheckMode,       // a: mode-spec index, b: arity, c: generic entry pc —
-                    // verify A1..Ab against the spec; jump to c on mismatch
-  kGetConstantNv,   // a: const ix, b: Ai — Ai proven nonvar: compare only,
-                    // no unbound-var branch, no trailing
-  kGetStructureRd,  // a: functor, b: Ai — Ai proven nonvar: read mode only,
-                    // no write-mode branch
-  kUnifyConstantRd, // a: const ix — inside kGetStructureRd with a ground
-                    // root: argument cells cannot be unbound
-
   // Second level of first-argument indexing, structure side: dispatch on
   // the functor/arity key of A1 (which must deref to a structure; anything
   // else fails). a: table index (functor cell -> pc; miss = fail),
@@ -108,22 +97,10 @@ struct Instr {
   uint32_t c = 0;
 };
 
-// The code range a predicate's instructions occupy: [begin, end), with
-// `begin` also its entry pc. The JIT compiles whole ranges so every static
-// branch target (switch arms, clause blocks, check_mode fallbacks) stays
-// inside the compiled unit.
-struct PredRange {
-  FunctorId functor;
-  uint32_t begin;
-  uint32_t end;
-};
-
 // One first-argument dispatch table (constant- or functor-keyed). Small
 // fanouts stay an insertion-ordered vector scanned linearly — for the 2-4
 // key predicates that dominate real programs a scan beats hashing — and
-// escalate to a hash map once the key count passes kHashFanout. Both the
-// emulator's switch dispatch and the JIT's runtime helpers read the same
-// table, so the tiers cannot disagree on a lookup.
+// escalate to a hash map once the key count passes kHashFanout.
 struct SwitchTable {
   static constexpr uint32_t kMiss = 0xffffffffu;
   static constexpr size_t kHashFanout = 8;
@@ -168,11 +145,6 @@ struct CompiledModule {
   std::vector<Word> constants;
   std::vector<SwitchTable> switch_tables;
   std::unordered_map<FunctorId, size_t> entries;  // functor -> entry pc
-  // kCheckMode argument-mode specs (kMode* bytes per argument position;
-  // kModeAny positions are not checked).
-  std::vector<std::vector<uint8_t>> mode_specs;
-  // Per-predicate pc extents, in emission order (the JIT's unit of work).
-  std::vector<PredRange> pred_ranges;
 
   size_t AddConstant(Word w) {
     for (size_t i = 0; i < constants.size(); ++i) {

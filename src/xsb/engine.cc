@@ -33,7 +33,6 @@ Engine::Engine(Options options)
       program_(std::make_unique<Program>(symbols_.get())),
       machine_(std::make_unique<Machine>(store_.get(), program_.get())) {
   Evaluator::Options eval_options;
-  eval_options.answer_trie = options.answer_trie;
   eval_options.early_completion = options.early_completion;
   eval_options.incremental = options.incremental;
   evaluator_ = std::make_unique<Evaluator>(machine_.get(), eval_options);
@@ -77,16 +76,21 @@ Status Engine::SpecializeHiLog() {
 
 Status Engine::ForEach(std::string_view goal,
                        const std::function<bool(const Answer&)>& on_answer) {
+  // Marks first: the parsed goal itself lives on the heap and goes with the
+  // query.
+  size_t trail = store_->TrailMark();
+  size_t heap = store_->HeapMark();
   std::string buffer(goal);
   buffer += " .";
   Reader reader(store_.get(), program_->ops(), buffer,
                 program_->hilog_atoms());
   Result<Word> parsed = reader.ReadClause();
-  if (!parsed.ok()) return parsed.status();
+  if (!parsed.ok()) {
+    store_->TruncateHeap(heap);
+    return parsed.status();
+  }
   std::vector<std::pair<std::string, Word>> names = reader.var_names();
 
-  size_t trail = store_->TrailMark();
-  size_t heap = store_->HeapMark();
   ++query_depth_;
   Status status = machine_->Solve(parsed.value(), [&]() {
     Answer answer;

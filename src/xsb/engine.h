@@ -46,8 +46,6 @@ struct Answer {
 class Engine {
  public:
   struct Options {
-    bool answer_trie = true;        // trie-based answer tables (default);
-                                    // false = hash-set store (ablation)
     bool early_completion = false;  // complete ground calls at first answer
     bool strict_analysis = false;   // consults fail on error-severity
                                     // analysis diagnostics (non-stratified

@@ -90,6 +90,20 @@ TEST(TwoEnginesTest, ParallelEnginesAgree) {
 
 // --- Lock-free primitive stress --------------------------------------------
 
+// A worker's heap returns to its pre-query size after every query: the
+// parsed goal goes with the query, also on a parse error.
+TEST(QueryServiceHeap, WorkerHeapReturnsToPreQuerySize) {
+  QueryService service({.num_workers = 1});
+  ASSERT_TRUE(service.Consult("s(1, 3). s(1, 7). s(2, 9).\n").ok());
+  ASSERT_EQ(service.Count("s(1, X), X > 5").value(), 1u);
+  uint64_t before = service.Stats().per_worker[0].heap_cells;
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(service.Count("s(1, X), X > 5").value(), 1u);
+  }
+  EXPECT_FALSE(service.Count("s(1, X").ok());
+  EXPECT_EQ(service.Stats().per_worker[0].heap_cells, before);
+}
+
 TEST(EpochManagerTest, RetirementWaitsForActiveReaders) {
   EpochManager epochs;
   // No slots active: everything reclaims immediately (engine fast path).

@@ -20,6 +20,41 @@ TEST(HeapCellZero, EngineQueryAliasesRepeatedHeadVariable) {
   EXPECT_EQ(engine.Count("p(X, Y), X \\== Y").value(), 0u);
 }
 
+// A query's parsed goal lives on the heap and goes with the query: after
+// any number of queries, and after a parse error, the heap is back at its
+// pre-query size.
+TEST(QueryHeap, EngineHeapReturnsToPreQuerySize) {
+  Engine engine;
+  ASSERT_TRUE(engine.ConsultString("s(1, 3). s(1, 7). s(2, 9).\n").ok());
+  size_t before = engine.store().HeapMark();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(engine.Count("s(1, X), X > 5").value(), 1u);
+  }
+  EXPECT_FALSE(engine.Count("s(1, X").ok());
+  EXPECT_EQ(engine.store().HeapMark(), before);
+}
+
+// ** and ^ square and multiply: a huge exponent returns at once, with the
+// value that multiplying the base in exponent times gives.
+TEST(EngineArithmetic, PowerBySquaring) {
+  Engine engine;
+  EXPECT_EQ(engine.Count("X is 1 ** 100000000000").value(), 1u);
+  Result<std::vector<Answer>> r = engine.FindAll(
+      "A is 1 ** 100000000000, B is (-1) ^ 100000000001, C is 2 ** 59, "
+      "D is 7 ** 0, E is 3 ** 37, F is 2 ** (-3)");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().size(), 1u);
+  const Answer& a = r.value()[0];
+  EXPECT_EQ(a["A"], "1");
+  EXPECT_EQ(a["B"], "-1");
+  EXPECT_EQ(a["C"], "576460752303423488");
+  EXPECT_EQ(a["D"], "1");
+  int64_t product = 1;
+  for (int i = 0; i < 37; ++i) product *= 3;
+  EXPECT_EQ(a["E"], std::to_string(product));
+  EXPECT_EQ(a["F"], "1");
+}
+
 // retract/1, retractall/1 and clause/2 match stored clauses in place, over
 // facts and rules alike.
 TEST(ClauseMatching, RetractRuleByBodyPattern) {

@@ -2,7 +2,7 @@
 // lattice, the per-predicate per-call-pattern fixpoint, published modes
 // (Predicate::modes() and predicate_mode/2), the M-series diagnostics, the
 // retract republication of shard masks, and a seeded property sweep of the
-// mode-specialized engine against the bottom-up oracle.
+// engine under published modes against the bottom-up oracle.
 
 #include <gtest/gtest.h>
 
@@ -77,17 +77,6 @@ TEST(ModeLattice, AbsUnifyKeepsTheMostBoundSide) {
   EXPECT_EQ(AbsUnifyInst(Inst::kFree, Inst::kAny), Inst::kAny);
 }
 
-TEST(ModeLattice, SpecMeetConflictsFallToAny) {
-  // any is the identity (an uninformative site constrains nothing).
-  EXPECT_EQ(SpecMeetInst(Inst::kAny, Inst::kGround), Inst::kGround);
-  EXPECT_EQ(SpecMeetInst(Inst::kFree, Inst::kAny), Inst::kFree);
-  EXPECT_EQ(SpecMeetInst(Inst::kGround, Inst::kNonvar), Inst::kGround);
-  // free vs bound sites genuinely conflict: specializing either way would
-  // send half the calls through the fallback, so the target is any.
-  EXPECT_EQ(SpecMeetInst(Inst::kFree, Inst::kGround), Inst::kAny);
-  EXPECT_EQ(SpecMeetInst(Inst::kNonvar, Inst::kFree), Inst::kAny);
-}
-
 // --- The fixpoint ------------------------------------------------------------
 
 TEST(ModeFixpoint, TransitiveClosureInfersGroundSuccess) {
@@ -155,10 +144,6 @@ TEST(ModeFixpoint, EntrySeedsCreateSitePatterns) {
   ASSERT_EQ(seeded->success.size(), 2u);
   EXPECT_EQ(seeded->success[0], Inst::kGround);
   EXPECT_EQ(seeded->success[1], Inst::kGround);
-  // The spec meet keeps the seeded precision (ground, free): the WAM
-  // specializer can drop nrev's write-mode handling for argument 1.
-  ASSERT_EQ(nrev.spec_meet.size(), 2u);
-  EXPECT_EQ(nrev.spec_meet[0], Inst::kGround);
 }
 
 TEST(ModeFixpoint, PatternsAreCappedNotUnbounded) {

@@ -1,11 +1,12 @@
-// Property sweep for first-argument indexing (ISSUE 10): seeded random
-// predicates whose clauses mix constant, integer, structure, list, and
-// variable first-argument keys are compiled twice — with the two-level
+// Property sweep for first-argument indexing: seeded random predicates
+// whose clauses mix constant, integer, structure, list, and variable
+// first-argument keys are compiled twice — with the two-level
 // switch_on_term/switch_on_constant/switch_on_structure dispatch, and with
-// CompileOptions::index off (pure try_me_else chains) — and run on both WAM
-// tiers. All four configurations must produce identical answers in
-// identical (source clause) order: indexing may delete choice points and
-// skip non-matching clauses, never change or reorder the answer relation.
+// CompileOptions::index off (pure try_me_else chains) — and run on the WAM
+// emulator, against Engine as the reference tier. All three must produce
+// identical answers in identical (source clause) order: indexing may delete
+// choice points and skip non-matching clauses, never change or reorder the
+// answer relation.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "parser/writer.h"
 #include "wam/compile.h"
 #include "wam/emulator.h"
+#include "xsb/engine.h"
 
 namespace xsb::wam {
 namespace {
@@ -98,35 +100,55 @@ RandomProgram MakeProgram(uint32_t seed) {
   return out;
 }
 
-// All rendered solutions of `queries`, in derivation order, on one module
-// configuration. Compilation and solving must succeed.
-std::vector<std::string> RunConfig(const RandomProgram& rp, bool index,
-                                   int64_t jit_threshold) {
-  SymbolTable symbols;
-  TermStore store(&symbols);
-  Program prog(&symbols);
-  Loader loader(&store, &prog);
-  Status s = loader.ConsultString(rp.text);
+// All answers of `queries` on the emulator, with first-argument indexing on
+// or off, rendered as "goal -> bindings" in derivation order. Compilation
+// and solving must succeed.
+std::vector<std::string> RunEmulator(const RandomProgram& rp, bool index) {
+  Engine engine;
+  Status s = engine.ConsultString(rp.text);
   EXPECT_TRUE(s.ok()) << s.ToString();
+  TermStore& store = engine.store();
+  Program& prog = engine.program();
   CompileOptions options;
   options.index = index;
   Result<CompiledModule> compiled = CompileModule(&store, prog, {}, options);
   EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
   std::vector<std::string> out;
   if (!compiled.ok()) return out;
-  EmulatorOptions eopts;
-  eopts.jit_threshold = jit_threshold;
-  Emulator emulator(&store, &compiled.value(), eopts);
+  Emulator emulator(&store, &compiled.value());
   for (const std::string& goal : rp.queries) {
-    Result<Word> g = ParseTermString(&store, prog.ops(), goal);
+    std::string buffer = goal + " .";
+    Reader reader(&store, prog.ops(), buffer, prog.hilog_atoms());
+    Result<Word> g = reader.ReadClause();
     EXPECT_TRUE(g.ok()) << g.status().ToString();
     if (!g.ok()) continue;
     size_t trail = store.TrailMark();
     Status st = emulator.Solve(g.value(), [&] {
-      out.push_back(goal + " -> " + WriteTerm(store, *prog.ops(), g.value()));
+      Answer answer;
+      for (const auto& [name, cell] : reader.var_names()) {
+        answer.bindings.emplace_back(name,
+                                     WriteTerm(store, *prog.ops(), cell));
+      }
+      out.push_back(goal + " -> " + answer.ToString());
       return WamAction::kContinue;
     });
     store.UndoTrail(trail);
+    EXPECT_TRUE(st.ok()) << goal << ": " << st.ToString();
+  }
+  return out;
+}
+
+// The same answers through Engine, the reference.
+std::vector<std::string> RunEngine(const RandomProgram& rp) {
+  Engine engine;
+  Status s = engine.ConsultString(rp.text);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  std::vector<std::string> out;
+  for (const std::string& goal : rp.queries) {
+    Status st = engine.ForEach(goal, [&](const Answer& answer) {
+      out.push_back(goal + " -> " + answer.ToString());
+      return true;
+    });
     EXPECT_TRUE(st.ok()) << goal << ": " << st.ToString();
   }
   return out;
@@ -136,19 +158,13 @@ class WamIndexDifferentialTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(WamIndexDifferentialTest, SwitchAndChainAgreeOnBothTiers) {
   RandomProgram rp = MakeProgram(GetParam());
-  std::vector<std::string> chain = RunConfig(rp, /*index=*/false,
-                                             /*jit_threshold=*/-1);
-  std::vector<std::string> indexed = RunConfig(rp, /*index=*/true,
-                                               /*jit_threshold=*/-1);
+  std::vector<std::string> reference = RunEngine(rp);
+  std::vector<std::string> chain = RunEmulator(rp, /*index=*/false);
+  std::vector<std::string> indexed = RunEmulator(rp, /*index=*/true);
   EXPECT_EQ(chain, indexed) << "emulator: indexing changed answers\n"
                             << rp.text;
-  std::vector<std::string> chain_jit = RunConfig(rp, /*index=*/false,
-                                                 /*jit_threshold=*/0);
-  std::vector<std::string> indexed_jit = RunConfig(rp, /*index=*/true,
-                                                   /*jit_threshold=*/0);
-  EXPECT_EQ(chain, chain_jit) << "jit: chain tier diverged\n" << rp.text;
-  EXPECT_EQ(indexed, indexed_jit) << "jit: indexed tier diverged\n"
-                                  << rp.text;
+  EXPECT_EQ(reference, chain) << "emulator diverged from Engine\n"
+                              << rp.text;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WamIndexDifferentialTest,

@@ -10,6 +10,7 @@
 #include "parser/writer.h"
 #include "wam/compile.h"
 #include "wam/emulator.h"
+#include "xsb/engine.h"
 
 namespace xsb::wam {
 namespace {
@@ -326,7 +327,6 @@ TEST_F(WamTest, DisassembleRoundTripsEveryOpcode) {
   FunctorId f2 = symbols_.InternFunctor(symbols_.InternAtom("f"), 2);
   uint32_t seven = static_cast<uint32_t>(m.AddConstant(IntCell(7)));
   m.switch_tables.emplace_back();
-  m.mode_specs.push_back({kModeGround, kModeNonvar});
   struct Case {
     Instr instr;
     const char* text;
@@ -359,10 +359,6 @@ TEST_F(WamTest, DisassembleRoundTripsEveryOpcode) {
       {{Op::kBuiltin, 0, 2, 0}, "builtin #0/2"},
       {{Op::kSolution, 0, 0, 0}, "solution"},
       {{Op::kHalt, 0, 0, 0}, "halt"},
-      {{Op::kCheckMode, 0, 2, 31}, "check_mode spec#0/2, generic=31"},
-      {{Op::kGetConstantNv, seven, 1, 0}, "get_constant_nv 7, A1"},
-      {{Op::kGetStructureRd, f2, 1, 0}, "get_structure_rd f/2, A1"},
-      {{Op::kUnifyConstantRd, seven, 0, 0}, "unify_constant_rd 7"},
       {{Op::kSwitchOnStructure, 0, 0, 17},
        "switch_on_structure table#0 list=17"},
   };
@@ -389,6 +385,39 @@ TEST_F(WamTest, DisassembleRoundTripsEveryOpcode) {
   }
 }
 
+TEST_F(WamTest, ArithmeticErrorUnwindsBindings) {
+  // An error mid-search unwinds like exhaustion: the binding made before
+  // it and the heap it built are gone when Solve returns.
+  Load("p(X) :- X = f(a), _ is foo + 1.\n");
+  CompileAll();
+  Word goal = Parse("p(A)");
+  size_t heap = store_.HeapMark();
+  size_t trail = store_.TrailMark();
+  Status s =
+      emulator_->Solve(goal, []() { return WamAction::kContinue; });
+  EXPECT_FALSE(s.ok());
+  EXPECT_TRUE(IsRef(store_.Deref(store_.Arg(store_.Deref(goal), 0))));
+  EXPECT_EQ(store_.HeapMark(), heap);
+  EXPECT_EQ(store_.TrailMark(), trail);
+}
+
+TEST_F(WamTest, WamStatsBuiltinReportsCounters) {
+  // wam_stats/2 compiled as a WAM builtin reads this emulator's counters as
+  // a name-Value list.
+  Load("f(1). f(2).\n"
+       "report(S) :- f(_), wam_stats(all, S).\n");
+  CompileAll();
+  EXPECT_EQ(Count("report(S)"), 2u);
+  std::string first = First("report(S)");
+  for (const char* name : {"instructions", "choice_points",
+                           "switch_structure_hits", "switch_miss_linear"}) {
+    EXPECT_NE(first.find(std::string(name) + " -"), std::string::npos)
+        << name << " missing from " << first;
+  }
+  EXPECT_EQ(first.find("jit"), std::string::npos) << first;
+  EXPECT_EQ(first.find("mode_"), std::string::npos) << first;
+}
+
 TEST_F(WamTest, AgreesWithInterpreterOnJoins) {
   // Property: WAM and the interpreter produce the same solution count.
   std::string facts;
@@ -404,6 +433,296 @@ TEST_F(WamTest, AgreesWithInterpreterOnJoins) {
     Result<size_t> interpreted = machine.CountSolutions(Parse(goal));
     ASSERT_TRUE(interpreted.ok());
     EXPECT_EQ(Count(goal), interpreted.value()) << goal;
+  }
+}
+
+// --- The emulator against Engine ---------------------------------------------
+//
+// The emulator must answer every goal exactly as Engine does, the reference
+// that serves user queries: the same bindings, rendered the same way, in the
+// same order, and an error wherever Engine reports one.
+
+struct WamOutcome {
+  bool ok = true;
+  std::vector<std::string> answers;  // Answer::ToString() per solution
+};
+
+class WamEngineAgreement : public ::testing::Test {
+ protected:
+  // Consults `text` into the engine and compiles every predicate of it for
+  // an emulator over the engine's own store.
+  void Load(const std::string& text) {
+    Status s = engine_.ConsultString(text);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    Result<CompiledModule> compiled =
+        CompileModule(&engine_.store(), engine_.program(), {});
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    module_ = std::move(compiled.value());
+    emulator_ = std::make_unique<Emulator>(&engine_.store(), &module_);
+  }
+
+  WamOutcome OnEmulator(const std::string& goal) {
+    TermStore& store = engine_.store();
+    Program& program = engine_.program();
+    size_t heap = store.HeapMark();
+    size_t trail = store.TrailMark();
+    std::string buffer = goal + " .";
+    Reader reader(&store, program.ops(), buffer, program.hilog_atoms());
+    Result<Word> parsed = reader.ReadClause();
+    EXPECT_TRUE(parsed.ok()) << goal << ": " << parsed.status().ToString();
+    WamOutcome out;
+    if (!parsed.ok()) return out;
+    Status s = emulator_->Solve(parsed.value(), [&]() {
+      Answer answer;
+      for (const auto& [name, cell] : reader.var_names()) {
+        answer.bindings.emplace_back(name,
+                                     WriteTerm(store, *program.ops(), cell));
+      }
+      out.answers.push_back(answer.ToString());
+      return WamAction::kContinue;
+    });
+    out.ok = s.ok();
+    store.UndoTrail(trail);
+    store.TruncateHeap(heap);
+    return out;
+  }
+
+  WamOutcome OnEngine(const std::string& goal) {
+    WamOutcome out;
+    Status s = engine_.ForEach(goal, [&](const Answer& answer) {
+      out.answers.push_back(answer.ToString());
+      return true;
+    });
+    out.ok = s.ok();
+    return out;
+  }
+
+  // Every goal must succeed on Engine and agree on the emulator.
+  void ExpectAgreement(const std::vector<std::string>& goals) {
+    for (const std::string& goal : goals) {
+      WamOutcome reference = OnEngine(goal);
+      EXPECT_TRUE(reference.ok) << goal;
+      WamOutcome wam = OnEmulator(goal);
+      EXPECT_TRUE(wam.ok) << goal;
+      EXPECT_EQ(wam.answers, reference.answers) << "goal: " << goal;
+    }
+  }
+
+  Engine engine_;
+  CompiledModule module_;
+  std::unique_ptr<Emulator> emulator_;
+};
+
+TEST_F(WamEngineAgreement, FactsAndBacktracking) {
+  Load("e(1,2). e(2,3). e(3,4). e(2,5).\n");
+  ExpectAgreement({"e(X,Y)", "e(2,X)", "e(X,5)", "e(9,X)"});
+}
+
+TEST_F(WamEngineAgreement, RecursionOverChains) {
+  Load("edge(a,b). edge(b,c). edge(c,d). edge(d,e).\n"
+       "path(X,Y) :- edge(X,Y).\n"
+       "path(X,Z) :- edge(X,Y), path(Y,Z).\n");
+  ExpectAgreement({"path(a,X)", "path(X,e)", "path(X,Y)", "path(e,X)"});
+}
+
+TEST_F(WamEngineAgreement, StructuresReadAndWriteModes) {
+  Load("shape(point(0,0)). shape(line(point(0,0), point(3,4))).\n"
+       "wrap(X, box(X, X)).\n");
+  ExpectAgreement({"shape(S)", "shape(line(A,B))", "shape(point(X,Y))",
+                   "wrap(7, B)", "wrap(W, box(a, a))"});
+}
+
+TEST_F(WamEngineAgreement, ListRecursionBothDirections) {
+  Load("app([], L, L).\n"
+       "app([H|T], L, [H|R]) :- app(T, L, R).\n");
+  ExpectAgreement({"app([1,2,3], [4,5], X)", "app(X, Y, [1,2,3,4])",
+                   "app([a], X, [a,b])"});
+}
+
+TEST_F(WamEngineAgreement, StructureSwitchDispatch) {
+  // Mixed constant/structure keys share the two-level dispatch, including
+  // the './2' fast path, misses on both sides and an unbound first argument.
+  Load("g(nil, 0).\n"
+       "g(f(X), X).\n"
+       "g(h(X, Y), p(X, Y)).\n"
+       "g([H|_], H).\n"
+       "g(f(9), ninety).\n");
+  ExpectAgreement({"g(nil, V)", "g(f(7), V)", "g(h(1,2), V)", "g([a,b], V)",
+                   "g(f(9), V)", "g(nosuch(1), V)", "g(99, V)", "g(X, V)"});
+  uint64_t hits = emulator_->stats().switch_structure_hits;
+  uint64_t misses = emulator_->stats().switch_miss_linear;
+  OnEmulator("g(f(7), V)");
+  OnEmulator("g([a], V)");
+  EXPECT_EQ(emulator_->stats().switch_structure_hits - hits, 2u);
+  EXPECT_EQ(emulator_->stats().switch_miss_linear - misses, 0u);
+}
+
+TEST_F(WamEngineAgreement, MixedConstantAndStructureKeys) {
+  Load("kind(nil, empty).\n"
+       "kind(leaf(X), l(X)).\n"
+       "kind(node(L, R), n(L, R)).\n"
+       "probe(K) :- kind(leaf(7), K).\n"
+       "probe2(K) :- kind(nil, K).\n");
+  ExpectAgreement({"kind(nil, K)", "kind(leaf(9), K)", "kind(node(a, b), K)",
+                   "kind(V, l(2))", "probe(K)", "probe2(K)"});
+  // A bound first argument dispatches straight to its single clause.
+  uint64_t choice_points = emulator_->stats().choice_points;
+  OnEmulator("probe(K)");
+  OnEmulator("probe2(K)");
+  EXPECT_EQ(emulator_->stats().choice_points, choice_points);
+}
+
+TEST_F(WamEngineAgreement, NaiveReverse) {
+  Load("app([], L, L).\n"
+       "app([H|T], L, [H|R]) :- app(T, L, R).\n"
+       "nrev([], []).\n"
+       "nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).\n"
+       "drive(R) :- nrev([1,2,3,4], R).\n");
+  ExpectAgreement({"app([1,2], [3], Z)", "app(X, Y, [1,2,3])",
+                   "nrev([1,2,3], R)", "drive(R)"});
+}
+
+TEST_F(WamEngineAgreement, NaiveReverseDeletesChoicePoints) {
+  // nrev30 agrees with Engine, and every bound app/nrev call lands in a
+  // single-clause bucket of the structure switch: no linear chain runs.
+  std::string list30 = "[";
+  for (int i = 1; i <= 30; ++i) {
+    list30 += (i > 1 ? "," : "") + std::to_string(i);
+  }
+  list30 += "]";
+  Load("app([], L, L).\n"
+       "app([H|T], L, [H|R]) :- app(T, L, R).\n"
+       "nrev([], []).\n"
+       "nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).\n");
+  ExpectAgreement({"nrev(" + list30 + ", R)"});
+  uint64_t choice_points = emulator_->stats().choice_points;
+  uint64_t hits = emulator_->stats().switch_structure_hits;
+  uint64_t misses = emulator_->stats().switch_miss_linear;
+  EXPECT_EQ(OnEmulator("nrev(" + list30 + ", R)").answers.size(), 1u);
+  EXPECT_LE(emulator_->stats().choice_points - choice_points, 40u);
+  EXPECT_GT(emulator_->stats().switch_structure_hits - hits, 0u);
+  EXPECT_EQ(emulator_->stats().switch_miss_linear - misses, 0u);
+}
+
+TEST_F(WamEngineAgreement, NaiveReverseDispatchesThroughStructureTable) {
+  // app/nrev key on []/'.'/2: each predicate carries one two-level switch
+  // whose structure side takes every bound list call, and no clause chain
+  // is left for a bound call to walk.
+  Load("app([], L, L).\n"
+       "app([H|T], L, [H|R]) :- app(T, L, R).\n"
+       "nrev([], []).\n"
+       "nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).\n"
+       "drive(R) :- nrev([1,2,3,4,5,6], R).\n");
+  std::string listing = module_.Disassemble(*engine_.store().symbols());
+  size_t switches = 0;
+  const std::string needle = "switch_on_structure";
+  for (size_t at = listing.find(needle); at != std::string::npos;
+       at = listing.find(needle, at + needle.size())) {
+    ++switches;
+  }
+  EXPECT_EQ(switches, 2u) << listing;
+  ExpectAgreement({"app([1,2], [3], Z)", "app(X, Y, [1,2,3])",
+                   "nrev([1,2,3,4], R)", "drive(R)"});
+  uint64_t choice_points = emulator_->stats().choice_points;
+  uint64_t hits = emulator_->stats().switch_structure_hits;
+  OnEmulator("drive(R)");
+  EXPECT_GT(emulator_->stats().switch_structure_hits - hits, 0u);
+  EXPECT_EQ(emulator_->stats().choice_points, choice_points);
+}
+
+TEST_F(WamEngineAgreement, ConstantFactsOnAllCallShapes) {
+  Load("lookup(a, 1). lookup(b, 2). lookup(c, 3).\n"
+       "use(V) :- lookup(a, V).\n");
+  ExpectAgreement({"lookup(a, X)", "lookup(b, 2)", "lookup(c, 9)",
+                   "lookup(Z, 2)", "lookup(X, Y)", "use(V)"});
+}
+
+TEST_F(WamEngineAgreement, UnboundKeyOnConstantFacts) {
+  // An unbound first argument takes the var arm of the constant switch and
+  // enumerates the clause chain; a bound one dispatches without a choice
+  // point. Both answer as Engine does.
+  Load("lookup(a, 1). lookup(b, 2). lookup(c, 3).\n"
+       "use(V) :- lookup(a, V).\n");
+  ExpectAgreement({"lookup(a, X)", "lookup(Z, 2)", "use(V)"});
+  uint64_t choice_points = emulator_->stats().choice_points;
+  uint64_t misses = emulator_->stats().switch_miss_linear;
+  OnEmulator("use(V)");
+  EXPECT_EQ(emulator_->stats().choice_points, choice_points);
+  EXPECT_EQ(OnEmulator("lookup(Z, 2)").answers.size(), 1u);
+  EXPECT_GT(emulator_->stats().choice_points, choice_points);
+  EXPECT_GT(emulator_->stats().switch_miss_linear, misses);
+}
+
+TEST_F(WamEngineAgreement, StructureArguments) {
+  Load("area(rect(W, H), A) :- A is W * H.\n"
+       "area(circle(R), A) :- A is 3 * R * R.\n"
+       "top(A) :- area(rect(3, 4), A).\n"
+       "top2(A) :- area(circle(5), A).\n");
+  ExpectAgreement({"area(rect(2, 5), A)", "area(circle(7), A)", "top(A)",
+                   "top2(A)"});
+}
+
+TEST_F(WamEngineAgreement, InteriorConstantsInStructures) {
+  Load("tag(f(red, N), N).\n"
+       "tag(g(blue), 0).\n"
+       "drive(N) :- tag(f(red, 7), N).\n"
+       "drive2(N) :- tag(g(blue), N).\n");
+  ExpectAgreement({"tag(f(red, 3), X)", "tag(f(blue, 3), X)",
+                   "tag(g(blue), X)", "tag(Z, 0)", "drive(N)", "drive2(N)"});
+}
+
+TEST_F(WamEngineAgreement, ArithmeticBuiltinsInClauseBodies) {
+  Load("len([], 0).\n"
+       "len([_|T], N) :- len(T, M), N is M + 1.\n"
+       "big(X) :- X > 10.\n");
+  ExpectAgreement({"len([a,b,c,d], N)", "len([], 0)", "big(11)", "big(3)"});
+}
+
+TEST_F(WamEngineAgreement, ArithmeticChains) {
+  Load("step(X, Y) :- Y is X + 7.\n"
+       "twice(X, Z) :- step(X, Y), step(Y, Z).\n"
+       "from_const(Z) :- twice(10, Z).\n");
+  ExpectAgreement({"step(1, Y)", "twice(5, Z)", "from_const(Z)"});
+}
+
+TEST_F(WamEngineAgreement, PermanentVariablesAcrossCalls) {
+  Load("p(1). p(2). p(3). q(2). q(3). r(3).\n"
+       "conj(X) :- p(X), q(X), r(X).\n"
+       "pair(X, Y) :- p(X), q(Y).\n");
+  ExpectAgreement({"conj(X)", "pair(X,Y)"});
+}
+
+TEST_F(WamEngineAgreement, EveryArithmeticFunction) {
+  // One evaluator serves both executors: every function it knows, every
+  // comparison, and each error class answer alike on both.
+  Load("ev(E, V) :- V is E.\n"
+       "lt(A, B) :- A < B.\n"
+       "le(A, B) :- A =< B.\n"
+       "gt(A, B) :- A > B.\n"
+       "ge(A, B) :- A >= B.\n"
+       "eq(A, B) :- A =:= B.\n"
+       "ne(A, B) :- A =\\= B.\n");
+  ExpectAgreement({
+      "ev(-(5), V)", "ev(+(5), V)", "ev(abs(-5), V)", "ev(sign(-5), V)",
+      "ev(sign(0), V)", "ev(\\(5), V)", "ev(2 + 3, V)", "ev(2 - 3, V)",
+      "ev(6 * 7, V)", "ev(7 // 2, V)", "ev(-7 // 2, V)", "ev(7 / 2, V)",
+      "ev(-7 mod 2, V)", "ev(7 mod -2, V)", "ev(-7 rem 2, V)",
+      "ev(7 rem 2, V)", "ev(min(1, 2), V)", "ev(max(1, 2), V)",
+      "ev(7 >> 1, V)", "ev(1 << 10, V)", "ev(12 /\\ 10, V)",
+      "ev(12 \\/ 3, V)", "ev(xor(12, 10), V)", "ev(2 ** 10, V)",
+      "ev(2 ^ 62, V)", "ev(-3 ** 3, V)", "ev(5 ** 0, V)",
+      "ev(2 ** (-1), V)", "ev(max(3, 4) * (2 + 1), V)",
+      "lt(1, 2)", "lt(2, 1)", "le(2, 2)", "gt(3, 2)", "ge(1, 2)",
+      "eq(1 + 1, 2)", "ne(1 + 1, 2)",
+  });
+  for (const char* goal :
+       {"ev(foo(1), V)", "ev(1 + a, V)", "ev(1 // 0, V)", "ev(1 mod 0, V)",
+        "ev(1 rem 0, V)", "ev(X + 1, V)", "lt(X, 1)", "ev(f(1, 2, 3), V)"}) {
+    WamOutcome reference = OnEngine(goal);
+    WamOutcome wam = OnEmulator(goal);
+    EXPECT_FALSE(reference.ok) << goal;
+    EXPECT_FALSE(wam.ok) << goal;
+    EXPECT_EQ(wam.answers, reference.answers) << goal;
   }
 }
 
